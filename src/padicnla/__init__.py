@@ -11,6 +11,7 @@ from .padics import (
     DomainError,
     PadicError,
     PadicNumber,
+    ParseError,
     PrecisionError,
     PrimeMismatchError,
     ResidueElem,
@@ -48,7 +49,7 @@ from .eigen import (
     qp_poly_roots,
     qr_iteration,
 )
-from .mpoly import MultiPoly, ParseError, parse_polynomial, parse_system
+from .mpoly import MultiPoly, parse_polynomial, parse_system
 from .solver import (
     IllConditionedWarning,
     MacaulaySystem,

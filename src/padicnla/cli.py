@@ -6,7 +6,8 @@ Modes:
   schur   matrix file -> block Schur form
   qr      matrix file -> QR factorization summary
   svd     matrix file -> singular value report
-  bench   random-instance timing sweep (iterative vs classical), CSV
+
+Timing lives in the benchmark, ``python3 perfbench/run.py``.
 
 Exit codes: 0 success, 2 usage/parse error, 3 no Q_p-rational
 solutions, 4 ill-conditioned-at-precision warning under --strict.
@@ -20,16 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 import warnings
 from dataclasses import dataclass
 
-from .padics import PadicError, PadicNumber, parse_padic
+from .padics import DomainError, PadicError, PadicNumber
 from .matrices import PadicMatrix, read_matrix, qr, svd, condition_number
-from .mpoly import ParseError, parse_system
-from .eigen import block_schur_form, classical_eigen, eigvecs, qr_iteration
+from .mpoly import parse_system
+from .eigen import block_schur_form, eigvecs
 from .solver import IllConditionedWarning, SolverError, solve_system
 
 EXIT_OK = 0
@@ -41,20 +40,12 @@ EXIT_ILL_CONDITIONED = 4
 @dataclass
 class RunConfig:
     mode: str
-    input: str | None
-    prime: int | None
-    precision: int | None
+    input: str
     seed: int
     output: str | None
     strict: bool
     format: str
     verbose: bool
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
 def build_config(argv) -> RunConfig:
@@ -63,10 +54,8 @@ def build_config(argv) -> RunConfig:
         description="p-adic linear algebra and polynomial system solving",
     )
     parser.add_argument("--mode", required=True,
-                        choices=["solve", "eig", "schur", "qr", "svd", "bench"])
-    parser.add_argument("--input", help="system or matrix file (not used by bench)")
-    parser.add_argument("--prime", type=int, help="prime p (bench mode)")
-    parser.add_argument("--prec", type=int, help="precision N (bench mode)")
+                        choices=["solve", "eig", "schur", "qr", "svd"])
+    parser.add_argument("--input", required=True, help="system or matrix file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--strict", action="store_true",
@@ -74,18 +63,8 @@ def build_config(argv) -> RunConfig:
     parser.add_argument("--format", choices=["human", "json"], default="human")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-    if args.prime is not None and not _is_prime(args.prime):
-        parser.error(f"--prime {args.prime} is not prime")
-    if args.prec is not None and args.prec < 1:
-        parser.error("--prec must be >= 1")
-    if args.mode == "bench":
-        if args.prime is None or args.prec is None:
-            parser.error("bench mode requires --prime and --prec")
-    elif args.input is None:
-        parser.error(f"mode {args.mode!r} requires --input")
     return RunConfig(
-        mode=args.mode, input=args.input, prime=args.prime,
-        precision=args.prec, seed=args.seed, output=args.output,
+        mode=args.mode, input=args.input, seed=args.seed, output=args.output,
         strict=args.strict, format=args.format, verbose=args.verbose,
     )
 
@@ -117,6 +96,16 @@ def _human_matrix(a: PadicMatrix, indent="  ") -> str:
     return "\n".join(
         indent + "  ".join(e.compact() for e in row) for row in a.rows
     )
+
+
+def _read_matrix_file(config: RunConfig, square: bool = False) -> PadicMatrix:
+    with open(config.input) as fh:
+        a = read_matrix(fh.read())
+    if square and a.nrows != a.ncols:
+        raise DomainError(
+            f"mode {config.mode!r} needs a square matrix, got {a.nrows}x{a.ncols}"
+        )
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +157,7 @@ def _run_solve(config: RunConfig) -> tuple:
 
 
 def _run_eig(config: RunConfig) -> tuple:
-    with open(config.input) as fh:
-        a = read_matrix(fh.read())
+    a = _read_matrix_file(config, square=True)
     result = eigvecs(a)
     doc = {
         "mode": "eig",
@@ -205,8 +193,7 @@ def _run_eig(config: RunConfig) -> tuple:
 
 
 def _run_schur(config: RunConfig) -> tuple:
-    with open(config.input) as fh:
-        a = read_matrix(fh.read())
+    a = _read_matrix_file(config, square=True)
     sd = block_schur_form(a)
     doc = {
         "mode": "schur",
@@ -229,8 +216,7 @@ def _run_schur(config: RunConfig) -> tuple:
 
 
 def _run_qr(config: RunConfig) -> tuple:
-    with open(config.input) as fh:
-        a = read_matrix(fh.read())
+    a = _read_matrix_file(config)
     f = qr(a)
     doc = {
         "mode": "qr",
@@ -252,8 +238,7 @@ def _run_qr(config: RunConfig) -> tuple:
 
 
 def _run_svd(config: RunConfig) -> tuple:
-    with open(config.input) as fh:
-        a = read_matrix(fh.read())
+    a = _read_matrix_file(config)
     s = svd(a)
     doc = {
         "mode": "svd",
@@ -277,47 +262,12 @@ def _run_svd(config: RunConfig) -> tuple:
     return text, EXIT_OK
 
 
-def _run_bench(config: RunConfig) -> tuple:
-    """Timing sweep over matrix sizes: iterative LR path vs the
-    division-free classical path, one CSV row per (instance, method)."""
-    p = config.prime
-    nprec = config.precision
-    rng = random.Random(config.seed)
-    rows = ["n,p,N,method,wall_time,residual_valuation"]
-    for n in range(2, 7):
-        for _ in range(3):
-            data = [[rng.randrange(p ** nprec) for _ in range(n)] for _ in range(n)]
-            a = PadicMatrix.from_int_rows(p, data, nprec)
-            for method, run in (
-                ("iterative", lambda: qr_iteration(a)),
-                ("classical", lambda: classical_eigen(a)),
-            ):
-                t0 = time.perf_counter()
-                out = run()
-                dt = time.perf_counter() - t0
-                if method == "iterative":
-                    b, v = out
-                    res = (a @ v) - (v @ b)
-                    rv = min(
-                        (e.precision if e.is_zero else e.valuation)
-                        for row in res.rows for e in row
-                    )
-                else:
-                    rv = min(
-                        (pair.residual_valuation for pair in out.pairs),
-                        default=nprec,
-                    )
-                rows.append(f"{n},{p},{nprec},{method},{dt:.6f},{rv}")
-    return "\n".join(rows) + "\n", EXIT_OK
-
-
 _MODES = {
     "solve": _run_solve,
     "eig": _run_eig,
     "schur": _run_schur,
     "qr": _run_qr,
     "svd": _run_svd,
-    "bench": _run_bench,
 }
 
 
@@ -331,9 +281,6 @@ def run(config: RunConfig) -> int:
             print(f"warning: {w.message}", file=sys.stderr)
         if ill and config.strict:
             return EXIT_ILL_CONDITIONED
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

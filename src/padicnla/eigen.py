@@ -25,15 +25,17 @@ from .padics import PadicError, PadicNumber, PrecisionError
 from .matrices import (
     PadicMatrix,
     SingularMatrixError,
+    _back_substitute,
+    _dot,
     hessenberg,
     normalize_vector,
     nullspace_mod_pN,
     qr,
     solve,
     svd,
-    vector_min_valuation,
 )
 from .residue import (
+    ResidueMatrix,
     ResiduePoly,
     charpoly_residue,
     is_pure_power,
@@ -102,13 +104,7 @@ def _negligible(e: PadicNumber, precision: int) -> bool:
 
 def residual_valuation(a: PadicMatrix, value: PadicNumber, vector: list) -> int:
     """Entrywise min valuation of A v - lambda v (precision for inexact zeros)."""
-    av = a.mat_vec(vector)
-    out = None
-    for x, y in zip(av, vector):
-        r = x - value * y
-        w = r.precision if r.is_zero else r.valuation
-        out = w if out is None else min(out, w)
-    return out
+    return min((x - value * y).valuation for x, y in zip(a.mat_vec(vector), vector))
 
 
 def poly_eval(coeffs: list, x: PadicNumber) -> PadicNumber:
@@ -172,35 +168,15 @@ def berkowitz_charpoly(a: PadicMatrix) -> list:
         return [one]
     poly = [one, -a[0, 0]]  # descending coefficients of x - a11
     for i in range(1, n):
-        row = [a[i, k] for k in range(i)]
-        col = [a[k, i] for k in range(i)]
+        row = a.rows[i][:i]
         s_terms = [a[i, i]]
-        v = col
+        v = [a[k, i] for k in range(i)]
         for _ in range(i):
-            acc = None
-            for x, y in zip(row, v):
-                t = x * y
-                acc = t if acc is None else acc + t
-            s_terms.append(acc)
-            v = [sum_products(a, k, v, i) for k in range(i)]
+            s_terms.append(_dot(row, v))
+            v = [_dot(a.rows[k][:i], v) for k in range(i)]
         toeplitz_col = [one] + [-s for s in s_terms]
-        new = []
-        for j in range(i + 2):
-            acc = None
-            for k in range(min(j + 1, i + 1)):
-                t = toeplitz_col[j - k] * poly[k]
-                acc = t if acc is None else acc + t
-            new.append(acc)
-        poly = new
+        poly = [_dot(toeplitz_col[j::-1], poly) for j in range(i + 2)]
     return list(reversed(poly))
-
-
-def sum_products(a: PadicMatrix, k: int, v: list, i: int) -> PadicNumber:
-    acc = None
-    for t in range(i):
-        term = a[k, t] * v[t]
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +204,6 @@ def qp_poly_roots(coeffs: list, precision: int) -> list:
         coeffs.pop()
     if not coeffs:
         raise ValueError("root-finding on a polynomial that vanishes at precision")
-    p = coeffs[0].prime
     nu = min(c.valuation for c in coeffs if not c.is_zero)
     if nu != 0:
         coeffs = [c.shift(-nu) for c in coeffs]
@@ -291,10 +266,7 @@ def _positive_slopes(coeffs: list, precision: int):
     Yields (slope, length, value-at-left-vertex); unknown (inexact
     zero) coefficients contribute their precision as a capped height.
     """
-    pts = []
-    for i, c in enumerate(coeffs):
-        pts.append((i, c.precision if c.is_zero else c.valuation))
-    hull = _lower_hull(pts)
+    hull = _lower_hull([(i, c.valuation) for i, c in enumerate(coeffs)])
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         slope = Fraction(v0 - v1, i1 - i0)
         if slope > 0 and slope.denominator == 1:
@@ -321,10 +293,7 @@ def newton_polygon_slopes(coeffs: list, precision: int | None = None) -> list:
     Returns one entry per root (with multiplicity), as Fractions,
     capped at ``precision`` when given.
     """
-    pts = []
-    for i, c in enumerate(coeffs):
-        pts.append((i, c.precision if c.is_zero else c.valuation))
-    hull = _lower_hull(pts)
+    hull = _lower_hull([(i, c.valuation) for i, c in enumerate(coeffs)])
     out = []
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         slope = Fraction(v0 - v1, i1 - i0)
@@ -484,7 +453,7 @@ def eigvecs(a: PadicMatrix, precision: int | None = None) -> EigenResult:
             unresolved=[InvariantBlock(a, PadicMatrix.identity(p, n, nprec))],
         )
     if is_pure_power(chi) is not None:
-        return _pure_power_eigvecs(a, chi, nprec)
+        return _pure_power_eigvecs(a, nprec)
 
     try:
         blocks = power_iteration_decomposition(a, chi, nprec)
@@ -523,7 +492,7 @@ def eigvecs(a: PadicMatrix, precision: int | None = None) -> EigenResult:
     return EigenResult(pairs=pairs, unresolved=unresolved)
 
 
-def _pure_power_eigvecs(a: PadicMatrix, chi: ResiduePoly, nprec: int) -> EigenResult:
+def _pure_power_eigvecs(a: PadicMatrix, nprec: int) -> EigenResult:
     """Pure-power residue polynomial: try deflation before the classical
     fallback.
 
@@ -535,16 +504,13 @@ def _pure_power_eigvecs(a: PadicMatrix, chi: ResiduePoly, nprec: int) -> EigenRe
     form splits, eigenpairs of the diagonal blocks are lifted through
     the triangular coupling by back-substitution.
     """
-    p = a.prime
-    n = a.nrows
-    t, v = qr_iteration(a, chi, nprec)
+    t, v = qr_iteration(a, nprec)
     bounds = _block_boundaries(t, nprec)
     if len(bounds) <= 2:
         return classical_eigen(a, nprec)
     pairs = []
     for s, e in zip(bounds, bounds[1:]):
-        block = PadicMatrix(p, [list(t.rows[i][s:e]) for i in range(s, e)])
-        sub = eigvecs(block, nprec)
+        sub = eigvecs(t.submatrix(range(s, e), range(s, e)), nprec)
         if sub.unresolved:
             return classical_eigen(a, nprec)
         for pair in sub.pairs:
@@ -569,26 +535,18 @@ def _lift_through_triangular(t: PadicMatrix, s: int, lam: PadicNumber,
     """Extend an eigenvector of the diagonal block at [s, s+len(w)) to an
     eigenvector of the full block triangular T, solving the coupled
     upper triangular system for the leading coordinates."""
-    p = t.prime
-    n = t.nrows
     e = s + len(w)
     y = [None] * s
     for i in range(s - 1, -1, -1):
-        rhs = None
-        for j in range(i + 1, s):
-            term = t[i, j] * y[j]
-            rhs = term if rhs is None else rhs + term
-        for j in range(e - s):
-            term = t[i, s + j] * w[j]
-            rhs = term if rhs is None else rhs + term
+        rhs = _dot(t.rows[i][i + 1:e], y[i + 1:] + list(w))
         d = t[i, i] - lam
         if d.is_zero:
             raise PrecisionError(
                 "eigenvalue collides with an earlier diagonal block at precision",
                 precision=d.precision,
             )
-        y[i] = (-rhs) / d if rhs is not None else PadicNumber.zero(p, nprec)
-    tail = [PadicNumber.zero(p, nprec) for _ in range(n - e)]
+        y[i] = (-rhs) / d
+    tail = [PadicNumber.zero(t.prime, nprec) for _ in range(t.nrows - e)]
     return y + list(w) + tail
 
 
@@ -679,17 +637,13 @@ def _complement_block(a: PadicMatrix, roots: list, nprec: int) -> InvariantBlock
 # ----------------------------------------------------------------------
 # shifted LR ("QR") iteration and block Schur form
 
-def _lr_step(b, v, s, e, shift_val, p, nprec):
+def _lr_step(b, v, s, e, shift_val, p):
     """One shifted LR step on the diagonal block [s, e), updating the
     coupling blocks and the accumulated basis so A V = V B stays true."""
-    n = len(b)
-    one = PadicNumber.one(p, nprec)
-    sub_rows = []
-    for i in range(s, e):
-        row = list(b[i][s:e])
-        if shift_val is not None:
-            row[i - s] = row[i - s] - shift_val
-        sub_rows.append(row)
+    sub_rows = [list(b[i][s:e]) for i in range(s, e)]
+    if shift_val is not None:
+        for i, row in enumerate(sub_rows):
+            row[i] = row[i] - shift_val
     f = qr(PadicMatrix(p, sub_rows), hermite=False)
     new_block = f.r @ f.q
     for i in range(e - s):
@@ -698,40 +652,22 @@ def _lr_step(b, v, s, e, shift_val, p, nprec):
             if shift_val is not None and i == j:
                 val = val + shift_val
             b[s + i][s + j] = val
-    # rows above the block: B[0:s, s:e] <- B[0:s, s:e] @ Q
-    if s > 0:
-        qcols = [f.q.column(j) for j in range(e - s)]
-        for i in range(s):
-            seg = b[i][s:e]
-            new = [
-                _acc_dot(seg, col) for col in qcols
-            ]
-            b[i][s:e] = new
-    # columns right of the block: B[s:e, e:n] <- Qinv @ B[s:e, e:n]
-    if e < n:
-        strip = [b[i][e:] for i in range(s, e)]
-        newstrip = []
-        for i in range(e - s):
-            qrow = [f.qinv[i, k] for k in range(e - s)]
-            newstrip.append(
-                [_acc_dot(qrow, [strip[k][j] for k in range(e - s)])
-                 for j in range(n - e)]
-            )
-        for i in range(e - s):
-            b[s + i][e:] = newstrip[i]
-    # accumulated basis: V[:, s:e] <- V[:, s:e] @ Q
-    qcols = [f.q.column(j) for j in range(e - s)]
+    _change_block_basis(b, v, s, e, f.q, f.qinv)
+
+
+def _change_block_basis(b, v, s, e, w, winv):
+    """Finish B <- G^-1 B G and V <- V G for G = diag(I, W, I) with W on
+    the diagonal block [s, e), whose new value the caller has stored."""
+    wcols = [w.column(j) for j in range(e - s)]
+    for i in range(s):
+        seg = b[i][s:e]
+        b[i][s:e] = [_dot(seg, col) for col in wcols]
+    strip_cols = list(zip(*(b[i][e:] for i in range(s, e))))
+    for i, wrow in enumerate(winv.rows):
+        b[s + i][e:] = [_dot(wrow, col) for col in strip_cols]
     for row in v:
         seg = row[s:e]
-        row[s:e] = [_acc_dot(seg, col) for col in qcols]
-
-
-def _acc_dot(u, w):
-    acc = None
-    for x, y in zip(u, w):
-        t = x * y
-        acc = t if acc is None else acc + t
-    return acc
+        row[s:e] = [_dot(seg, col) for col in wcols]
 
 
 def _scan_split(b, s, e, nprec):
@@ -741,18 +677,16 @@ def _scan_split(b, s, e, nprec):
     return None
 
 
-def _lr_run(b, v, s, e, p, nprec, work, early_exit):
+def _lr_run(b, v, s, e, p, nprec, work):
     """Run the full shift schedule on block [s, e), splitting eagerly
     whenever a subdiagonal entry becomes an inexact zero."""
     if e - s <= 1:
         return
     k = _scan_split(b, s, e, nprec)
     if k is not None:
-        _lr_run(b, v, s, k + 1, p, nprec, work, early_exit)
-        _lr_run(b, v, k + 1, e, p, nprec, work, early_exit)
+        _lr_run(b, v, s, k + 1, p, nprec, work)
+        _lr_run(b, v, k + 1, e, p, nprec, work)
         return
-    from .residue import ResidueMatrix
-
     block = ResidueMatrix(p, [[x.residue().value for x in b[i][s:e]] for i in range(s, e)])
     chi = charpoly_residue(block)
     roots = linear_roots_with_multiplicity(chi)
@@ -765,24 +699,15 @@ def _lr_run(b, v, s, e, p, nprec, work, early_exit):
         # the subdiagonal gains one valuation per step (from as low as 0
         # after a shift change), so allow a small margin beyond m*N
         for _ in range(mult * nprec + 4):
-            if early_exit and all(
-                _negligible(b[i + 1][i], nprec) for i in range(s, e - 1)
-            ):
-                break
-            _lr_step(b, v, s, e, shift_val, p, nprec)
+            _lr_step(b, v, s, e, shift_val, p)
             k = _scan_split(b, s, e, nprec)
             if k is not None:
-                _lr_run(b, v, s, k + 1, p, nprec, work, early_exit)
-                _lr_run(b, v, k + 1, e, p, nprec, work, early_exit)
+                _lr_run(b, v, s, k + 1, p, nprec, work)
+                _lr_run(b, v, k + 1, e, p, nprec, work)
                 return
 
 
-def qr_iteration(
-    a: PadicMatrix,
-    chi_residue: ResiduePoly | None = None,
-    precision: int | None = None,
-    early_exit: bool = False,
-) -> tuple:
+def qr_iteration(a: PadicMatrix, precision: int | None = None) -> tuple:
     """Shifted LR iteration on the Hessenberg form: returns (B, V) with
     A V = V B + O(p^N) and B (block) upper triangular at precision.
 
@@ -802,7 +727,7 @@ def qr_iteration(
     hess, v = hessenberg(a.cap(nprec).with_precision(work))
     b = hess.mutable()
     vm = v.mutable()
-    _lr_run(b, vm, 0, n, p, nprec, work, early_exit)
+    _lr_run(b, vm, 0, n, p, nprec, work)
     return PadicMatrix(p, b).cap(nprec), PadicMatrix(p, vm).cap(nprec)
 
 
@@ -843,92 +768,55 @@ def block_schur_form(a: PadicMatrix, precision: int | None = None) -> SchurDecom
     if not roots:
         return _finish_schur(a, a, identity, nprec)
     if is_pure_power(chi) is None:
-        t, v = qr_iteration(a, chi, nprec)
+        t, v = qr_iteration(a, nprec)
     else:
         t, v = a, identity
     t_rows = t.mutable()
     v_rows = v.mutable()
+    # Refining a diagonal block changes no other diagonal block, so each
+    # block can be read from t.
     bounds = _block_boundaries(t, nprec)
     for s, e in zip(bounds, bounds[1:]):
         if e - s < 2:
             continue
-        block = PadicMatrix(p, [row[s:e] for row in t_rows[s:e]])
-        chi_b = charpoly_residue(block.to_residue())
-        lam = is_pure_power(chi_b)
-        if lam is None:
-            continue
-        _classical_refine(t_rows, v_rows, s, e, p, nprec)
-    t = PadicMatrix(p, t_rows)
-    v = PadicMatrix(p, v_rows)
-    return _finish_schur(a, t, v, nprec)
+        block = t.submatrix(range(s, e), range(s, e))
+        if is_pure_power(charpoly_residue(block.to_residue())) is not None:
+            _classical_refine(t_rows, v_rows, block, s, nprec)
+    return _finish_schur(a, PadicMatrix(p, t_rows), PadicMatrix(p, v_rows), nprec)
 
 
-def _classical_refine(t_rows, v_rows, s, e, p, nprec):
-    """Refine a pure-power diagonal block with the classical fallback,
-    when it yields a complete well-conditioned eigenbasis."""
-    n = len(t_rows)
-    block = PadicMatrix(p, [row[s:e] for row in t_rows[s:e]])
-    result = classical_eigen(block, nprec)
-    m = e - s
-    vectors = [pair.vector for pair in result.pairs]
+def _classical_refine(t_rows, v_rows, block, s, nprec):
+    """Refine the pure-power diagonal block starting at row s with the
+    classical fallback, when it yields a complete well-conditioned
+    eigenbasis."""
+    m = block.nrows
+    vectors = [pair.vector for pair in classical_eigen(block, nprec).pairs]
     if len(vectors) != m:
         return
-    w = PadicMatrix(p, [[vectors[j][i] for j in range(m)] for i in range(m)])
-    try:
-        f = qr(w)
-        if len(f.pivots) < m or any(f.r[i, j].valuation != 0 for i, j in f.pivots):
-            return
-        x = solve(w, block @ w)
-    except (SingularMatrixError, PrecisionError):
+    w = PadicMatrix(block.prime, list(zip(*vectors)))
+    f = qr(w)
+    if len(f.pivots) < m or any(f.r[i, j].valuation != 0 for i, j in f.pivots):
         return
-    winv = _inverse_via_qr(f, p)
+    x = _back_substitute(f.r, f.qinv @ (block @ w))
     for i in range(m):
-        for j in range(m):
-            t_rows[s + i][s + j] = x[i, j]
-    for i in range(s):
-        seg = t_rows[i][s:e]
-        t_rows[i][s:e] = [
-            _acc_dot(seg, w.column(j)) for j in range(m)
-        ]
-    strip = [list(t_rows[s + k][e:]) for k in range(m)]
-    for i in range(m):
-        row_left = [winv[i, k] for k in range(m)]
-        t_rows[s + i][e:] = [
-            _acc_dot(row_left, [strip[k][j] for k in range(m)])
-            for j in range(n - e)
-        ]
-    for row in v_rows:
-        seg = row[s:e]
-        row[s:e] = [_acc_dot(seg, w.column(j)) for j in range(m)]
-
-
-def _inverse_via_qr(f, p):
-    n = f.r.nrows
-    x_rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n - 1, -1, -1):
-            acc = f.qinv[i, j]
-            for t in range(i + 1, n):
-                acc = acc - f.r[i, t] * x_rows[t][j]
-            x_rows[i][j] = acc / f.r[i, i]
-    return PadicMatrix(p, x_rows)
+        t_rows[s + i][s:s + m] = x.rows[i]
+    _change_block_basis(t_rows, v_rows, s, s + m, w, _back_substitute(f.r, f.qinv))
 
 
 def _finish_schur(a, t, v, nprec) -> SchurDecomposition:
     bounds = _block_boundaries(t, nprec)
     residues = []
     for s, e in zip(bounds, bounds[1:]):
-        block = PadicMatrix(a.prime, [list(t.rows[i][s:e]) for i in range(s, e)])
         try:
-            chi_b = charpoly_residue(block.to_residue())
-            lam = is_pure_power(chi_b)
-        except Exception:
+            # raises for blocks not known mod p or of negative valuation
+            residue = t.submatrix(range(s, e), range(s, e)).to_residue()
+        except PadicError:
             lam = None
+        else:
+            lam = is_pure_power(charpoly_residue(residue))
         residues.append((lam, e - s))
     res = (a @ v) - (v @ t)
-    rv = min(
-        (e.precision if e.is_zero else e.valuation) for row in res.rows for e in row
-    )
+    rv = min(e.valuation for row in res.rows for e in row)
     return SchurDecomposition(
         t=t,
         v=v,
@@ -984,7 +872,7 @@ def eigenvalue_valuations(a: PadicMatrix, precision: int | None = None) -> list:
             break
         for s, e in zip(bounds, bounds[1:]):
             if e - s >= 2:
-                _lr_step(b, vm, s, e, None, p, work)
+                _lr_step(b, vm, s, e, None, p)
     return _read_block_valuations(PadicMatrix(p, b), nprec)
 
 
@@ -993,8 +881,7 @@ def _read_block_valuations(t: PadicMatrix, nprec: int) -> list:
     bounds = _block_boundaries(t, nprec)
     for s, e in zip(bounds, bounds[1:]):
         m = e - s
-        block = PadicMatrix(t.prime, [list(t.rows[i][s:e]) for i in range(s, e)])
-        detval = _det_valuation(block, nprec)
+        detval = _det_valuation(t.submatrix(range(s, e), range(s, e)), nprec)
         share = min(Fraction(detval, m), Fraction(nprec))
         out.extend([share] * m)
     return sorted(out)

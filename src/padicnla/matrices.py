@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padics import DomainError, PadicError, PadicNumber, PrecisionError
+from .padics import (DomainError, PadicError, PadicNumber, ParseError,
+                     PrecisionError, is_prime)
 from .residue import ResidueMatrix
 
 
@@ -389,10 +390,6 @@ def _qr_core(a: PadicMatrix, column_pivot: bool, hermite: bool, rank_prec: int) 
     )
 
 
-def qr_column_pivoted(a: PadicMatrix) -> QRFactorization:
-    return qr(a, column_pivot=True)
-
-
 # ----------------------------------------------------------------------
 # SVD / Smith form
 
@@ -554,14 +551,7 @@ def solve(v: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
                     f"{e.valuation} below the column span",
                     valuation=e.valuation,
                 )
-    x_rows = [[None] * b.ncols for _ in range(k)]
-    for j in range(b.ncols):
-        for i in range(k - 1, -1, -1):
-            acc = c[i, j]
-            for t in range(i + 1, k):
-                acc = acc - f.r[i, t] * x_rows[t][j]
-            x_rows[i][j] = acc / f.r[i, i]
-    return PadicMatrix(v.prime, x_rows)
+    return _back_substitute(f.r, c)
 
 
 def inverse(a: PadicMatrix) -> PadicMatrix:
@@ -581,14 +571,21 @@ def inverse(a: PadicMatrix) -> PadicMatrix:
         raise SingularMatrixError(
             "matrix is singular at working precision", valuation=a.flat_precision
         )
-    x_rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n - 1, -1, -1):
-            acc = f.qinv[i, j]
-            for t in range(i + 1, n):
-                acc = acc - f.r[i, t] * x_rows[t][j]
-            x_rows[i][j] = acc / f.r[i, i]
-    return PadicMatrix(a.prime, x_rows)
+    return _back_substitute(f.r, f.qinv)
+
+
+def _back_substitute(r: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
+    """X with R[:k, :k] X = C[:k] for k = R.ncols, where R is upper
+    triangular with a nonzero diagonal (the R of a full-column-rank qr)."""
+    k = r.ncols
+    x_rows = [[None] * c.ncols for _ in range(k)]
+    for j in range(c.ncols):
+        for i in range(k - 1, -1, -1):
+            acc = c[i, j]
+            for t in range(i + 1, k):
+                acc = acc - r[i, t] * x_rows[t][j]
+            x_rows[i][j] = acc / r[i, i]
+    return PadicMatrix(r.prime, x_rows)
 
 
 def condition_number(a: PadicMatrix):
@@ -795,29 +792,34 @@ def write_matrix(a: PadicMatrix) -> str:
 
 
 def read_matrix(text: str) -> PadicMatrix:
+    """Parse the interchange format; malformed input raises ParseError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty matrix file")
+        raise ParseError("empty matrix file")
     try:
         p, nprec, n, m = (int(t) for t in lines[0].split())
     except ValueError as exc:
-        raise ValueError(f"bad matrix header {lines[0]!r}") from exc
+        raise ParseError(f"bad matrix header {lines[0]!r}") from exc
+    if not is_prime(p):
+        raise ParseError(f"p={p} is not prime")
+    if nprec < 1 or n < 1 or m < 1:
+        raise ParseError(f"precision and dimensions must be >= 1 in {lines[0]!r}")
     if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
+        raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != m:
-            raise ValueError(f"expected {m} entries per row, found {len(parts)}")
+            raise ParseError(f"expected {m} entries per row, found {len(parts)}")
         row = []
         for part in parts:
             mm = _ENTRY_RE.match(part)
             if mm is None:
-                raise ValueError(f"bad matrix entry {part!r}")
+                raise ParseError(f"bad matrix entry {part!r}")
             u = int(mm.group("u"))
             if mm.group("base") is not None:
                 if int(mm.group("base")) != p:
-                    raise ValueError(f"entry base mismatch in {part!r}")
+                    raise ParseError(f"entry base mismatch in {part!r}")
                 v = int(mm.group("v"))
                 row.append(PadicNumber.from_int(p, u, nprec - v).shift(v))
             else:

@@ -20,19 +20,8 @@ literals like ``3*7^2``.  Parse failures report line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .padics import PadicError, PadicNumber
-
-
-class ParseError(PadicError):
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+from .padics import PadicNumber, ParseError, is_prime
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -153,9 +142,6 @@ class MultiPoly:
 
 # ----------------------------------------------------------------------
 # parsing
-
-_TOKENS = ("int", "name", "+", "-", "*", "^", "(", ")")
-
 
 def _tokenize(text, lineno):
     out = []
@@ -340,7 +326,7 @@ def parse_system(text: str) -> SystemFile:
         precision = int(fields["prec"])
     except ValueError:
         raise ParseError("p and prec must be integers", header_lineno + 1, 1)
-    if prime < 2 or any(prime % q == 0 for q in range(2, int(prime ** 0.5) + 1)):
+    if not is_prime(prime):
         raise ParseError(f"p={prime} is not prime", header_lineno + 1, 1)
     if precision < 1:
         raise ParseError("prec must be >= 1", header_lineno + 1, 1)

@@ -15,6 +15,7 @@ raises both the valuation and the absolute precision by one.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -37,6 +38,23 @@ class PrecisionError(PadicError):
 
 class DomainError(PadicError):
     """The input is outside the mathematical domain of the operation."""
+
+
+class ParseError(PadicError):
+    """A system or matrix file is malformed."""
+
+    def __init__(self, message, line=None, column=None):
+        loc = ""
+        if line is not None:
+            loc = f" at line {line}" + (f", column {column}" if column is not None else "")
+        super().__init__(message + loc)
+        self.line = line
+        self.column = column
+
+
+def is_prime(n: int) -> bool:
+    """Trial division, for the primes named in file headers."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _valuation_int(a: int, p: int) -> int:
@@ -274,10 +292,8 @@ class PadicNumber:
         self._check(other)
         if self.is_zero or other.is_zero:
             # O(p^N) * u p^v = O(p^(N + v)); both zero gives O(p^(N1 + N2)).
-            nv = (self.precision if self.is_zero else self.valuation) + (
-                other.precision if other.is_zero else other.valuation
-            )
-            return PadicNumber.zero(self.prime, nv)
+            # An inexact zero O(p^N) is stored with valuation N.
+            return PadicNumber.zero(self.prime, self.valuation + other.valuation)
         rel = min(self.relative_precision, other.relative_precision)
         v = self.valuation + other.valuation
         if rel <= 0:

@@ -16,10 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 
 from .padics import PadicError, PadicNumber
-from .matrices import PadicMatrix, solve, svd, qr, vector_min_valuation
-from .mpoly import MultiPoly, monomials_upto
+from .matrices import PadicMatrix, _dot, solve, svd, qr
+from .mpoly import monomials_upto
 from .eigen import eigvecs
-from .residue import ResiduePoly, poly_gcd
+from .residue import poly_gcd
 
 
 class SolverError(PadicError):
@@ -172,7 +172,6 @@ def multiplication_matrices(pi: PadicMatrix, basis_cols: list,
                             msys: MacaulaySystem) -> list:
     """[x_i]_b for every variable: column at basis monomial m is the
     b-coordinate vector of pi(x_i * m), solved against the pivot block."""
-    p = msys.prime
     delta = pi.nrows
     col_index = {e: j for j, e in enumerate(msys.monomials)}
     pivot_block = pi.submatrix(range(delta), basis_cols)
@@ -224,11 +223,7 @@ class SolutionSet:
 
 def residual_report(point: list, polys: list) -> list:
     """Valuation of every f_j at the point (precision for inexact zeros)."""
-    out = []
-    for f in polys:
-        v = f.evaluate(point)
-        out.append(v.precision if v.is_zero else v.valuation)
-    return out
+    return [f.evaluate(point).valuation for f in polys]
 
 
 def _random_unit(rng, p, nprec):
@@ -286,13 +281,7 @@ def solve_system(polys: list, seed: int = 0, degree: int | None = None) -> Solut
         vk = pair.vector[k]
         if vk.is_zero or vk.valuation != 0:
             continue
-        coords = []
-        for m in tnf.operators:
-            num = None
-            for t in range(len(pair.vector)):
-                term = m[k, t] * pair.vector[t]
-                num = term if num is None else num + term
-            coords.append(num / vk)
+        coords = [_dot(m.rows[k], pair.vector) / vk for m in tnf.operators]
         res = residual_report(coords, polys)
         points.append(Solution(
             coordinates=coords,

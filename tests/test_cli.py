@@ -34,14 +34,28 @@ def matrix_file(tmp_path):
 
 
 class TestConfig:
-    def test_bench_requires_prime_and_prec(self):
-        assert main(["--mode", "bench"]) == EXIT_USAGE
+    def test_bench_mode_and_prime_removed(self, matrix_file):
+        assert main(["--mode", "bench", "--prime", "5", "--prec", "4"]) == EXIT_USAGE
+        assert main(["--mode", "qr", "--input", matrix_file, "--prime", "7"]) == EXIT_USAGE
 
     def test_file_modes_require_input(self):
         assert main(["--mode", "solve"]) == EXIT_USAGE
 
-    def test_non_prime_rejected(self):
-        assert main(["--mode", "bench", "--prime", "6", "--prec", "4"]) == EXIT_USAGE
+    @pytest.mark.parametrize("mode, text", [
+        ("qr", "6 6 2 2\n2 1\n0 3\n"),
+        ("eig", "7 6 2 3\n2 1 4\n0 3 5\n"),
+        ("schur", "7 6 2 3\n2 1 4\n0 3 5\n"),
+        ("qr", "7 6 2 2\n2 x\n0 3\n"),
+        ("qr", "7 6 0 0\n"),
+        ("qr", "7 0 2 2\n2 1\n0 3\n"),
+    ], ids=["non-prime", "eig-non-square", "schur-non-square", "bad-entry",
+            "no-entries", "zero-precision"])
+    def test_bad_matrix_file_rejected(self, mode, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["--mode", mode, "--input", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_defaults(self):
         cfg = build_config(["--mode", "solve", "--input", "x"])
@@ -141,21 +155,6 @@ class TestMatrixModes:
         main(["--mode", "svd", "--input", matrix_file, "--format", "json"])
         doc = parse_document(capsys.readouterr().out)
         assert len(doc["sigma"]) == 2
-
-
-class TestBenchMode:
-    def test_csv_shape(self, capsys):
-        code = main(["--mode", "bench", "--prime", "5", "--prec", "4"])
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,p,N,method,wall_time,residual_valuation"
-        # 5 sizes x 3 instances x 2 methods
-        assert len(lines) == 1 + 5 * 3 * 2
-        for line in lines[1:]:
-            n, p, nprec, method, wall, rv = line.split(",")
-            assert method in ("iterative", "classical")
-            assert int(p) == 5 and int(nprec) == 4
-            float(wall)
 
 
 class TestDocumentFormat:

@@ -313,6 +313,14 @@ class TestBlockSchur:
         r = (a @ sd.v) - (sd.v @ sd.t)
         assert all(e.is_zero for row in r.rows for e in row)
 
+    def test_block_of_negative_valuation_has_no_residue(self):
+        p, nprec = self.p, self.nprec
+        zero = PadicNumber.zero(p, nprec)
+        a = PadicMatrix(p, [[PadicNumber.from_int(p, 1, nprec).shift(-1), zero],
+                            [zero, PadicNumber.from_int(p, 2, nprec)]])
+        sd = block_schur_form(a)
+        assert sd.block_residues == [(None, 1), (2, 1)]
+
     def test_split_output_is_hessenberg(self):
         rng = random.Random(9)
         a, _ = conjugated([1, 2, 3, 4], self.p, self.nprec, rng)

@@ -206,3 +206,29 @@ class TestNormProperties:
             assert c.relative_precision == min(
                 a.relative_precision, b.relative_precision
             )
+
+
+def assert_zero_invariant(x):
+    if x.is_zero:
+        assert x.valuation == x.precision
+    else:
+        assert x.valuation < x.precision
+
+
+class TestInexactZeroInvariant:
+    """An inexact zero O(p^N) is stored with valuation N, every other value
+    with valuation below its precision; the library reads ``valuation``
+    as "valuation, or precision for an inexact zero" on that basis."""
+
+    @given(st.data())
+    def test_operations_keep_invariant(self, data):
+        p = data.draw(small_primes)
+        a = data.draw(padic_numbers(prime=p))
+        b = data.draw(padic_numbers(prime=p))
+        k = data.draw(st.integers(min_value=-4, max_value=4))
+        n = data.draw(st.integers(min_value=-2, max_value=16))
+        results = [a, b, a + b, a - b, a * b, a.shift(k), a.cap(n), a.with_precision(n)]
+        if not b.is_zero:
+            results.append(a / b)
+        for x in results:
+            assert_zero_invariant(x)
