@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padics import PadicError, PadicNumber, PrecisionError
+from .padics import PadicError, PadicNumber, PrecisionError, _valuation_int
 from .matrices import (
     PadicMatrix,
     SingularMatrixError,
@@ -118,8 +118,10 @@ def poly_derivative(coeffs: list) -> list:
     p = coeffs[0].prime
     out = []
     for i, c in enumerate(coeffs[1:], start=1):
-        k = PadicNumber.from_int(p, i, c.relative_precision + c.valuation + 8)
-        out.append(k * c)
+        # i = u p^v exactly, so i c keeps the relative precision of c
+        v = _valuation_int(i, p)
+        u = PadicNumber.from_int(p, i // p ** v, c.relative_precision)
+        out.append((u * c).shift(v))
     return out
 
 
@@ -224,7 +226,7 @@ def _roots_integral(coeffs: list, precision: int) -> list:
             continue
         center = PadicNumber.from_int(p, lam0, precision)
         shifted = poly_taylor_shift(coeffs, center)
-        for seg_slope, seg_len, edge_val in _positive_slopes(shifted, precision):
+        for seg_slope, seg_len, edge_val in _positive_slopes(shifted):
             # non-integer slopes (ramified roots) are filtered upstream
             s = int(seg_slope)
             if s >= precision:
@@ -260,7 +262,7 @@ def _hensel_lift(coeffs: list, lam0: int, precision: int) -> QpRoot:
     return QpRoot(x, 1, precision)
 
 
-def _positive_slopes(coeffs: list, precision: int):
+def _positive_slopes(coeffs: list):
     """Positive-slope segments of the Newton polygon of f.
 
     Yields (slope, length, value-at-left-vertex); unknown (inexact

@@ -7,6 +7,13 @@ Smith/SVD factorization A = U Sigma V^T, nullspaces mod p^N, linear
 solves against well-conditioned column spans, Householder reflections
 and Hessenberg reduction.
 
+Entries are zealous :class:`PadicNumber` scalars, except inside the
+elimination of :func:`qr`, which every factorization, nullspace and
+solve runs on: it reads the matrix at its flat precision N as integers
+mod p^N, eliminates on residues mod p^W (W >= N) while one counter
+tracks how many digits are still certified, and converts the factors
+back to scalars at precision N once, at the end.
+
 All algorithms assume integral entries; the qr/svd wrappers factor out
 p^(min valuation) from matrices with negative-valuation entries and
 re-attach it to R or Sigma.
@@ -18,9 +25,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .padics import (DomainError, PadicError, PadicNumber, ParseError,
-                     PrecisionError, is_prime)
+                     PrecisionError, _valuation_int, is_prime)
 from .residue import ResidueMatrix
 
 
@@ -53,9 +61,11 @@ class PadicMatrix:
 
     @classmethod
     def from_int_rows(cls, prime, rows, precision) -> "PadicMatrix":
+        zero = PadicNumber.zero(prime, precision)
         return cls(
             prime,
-            [[PadicNumber.from_int(prime, x, precision) for x in row] for row in rows],
+            [[PadicNumber.from_int(prime, x, precision) if x else zero for x in row]
+             for row in rows],
         )
 
     @classmethod
@@ -271,15 +281,6 @@ def _col_axpy(rows, dst, src, c):
         row[dst] = row[dst] + c * row[src]
 
 
-def _row_scale(rows, i, c):
-    rows[i] = [c * a for a in rows[i]]
-
-
-def _col_scale(rows, j, c):
-    for row in rows:
-        row[j] = c * row[j]
-
-
 def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFactorization:
     """Norm-pivoted PLU factorization of an integral matrix.
 
@@ -288,59 +289,82 @@ def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFa
     break to the lowest row index, then the lowest column index.  With
     ``hermite`` the pivots of R are normalized to powers of p and the
     entries above each pivot are reduced modulo that pivot.
+
+    The input is read at its flat precision N as integers mod p^N, and
+    Q, Qinv and R are returned at precision N.  Divisions by non-unit
+    pivots cost digits (see :func:`_qr_core`), so when the elimination
+    at working precision N loses any, it is rerun on the same integers
+    at a working precision raised by the measured loss, until N digits
+    survive.  Rank decisions always read the digits below N.
     """
     if not a.is_integral():
         raise DomainError("qr requires integral entries; rescale by p^(-min val) first")
+    p = a.prime
     nflat = a.flat_precision
-    f = _qr_core(a, column_pivot, hermite, nflat)
-    slack = sum(f.r[i, j].valuation for i, j in f.pivots)
-    if slack == 0:
-        return f
-    # Divisions by non-unit pivots erode absolute precision by up to the
-    # sum of the pivot valuations.  The factorization is a function of a
-    # residue class mod p^nflat, so rerun it on a representative lifted
-    # by that slack and cap the factors back; rank decisions still use
-    # the original precision (entries with valuation >= nflat are
-    # treated as zero when selecting pivots).
-    f = _qr_core(a.with_precision(nflat + slack), column_pivot, hermite, nflat)
+    top = p ** max(nflat, 0)
+    ints = [[e.lift_int() % top for e in row] for row in a.rows]
+    work = nflat
+    while True:
+        r, q, qinv, pivots, colperm, known = _qr_core(
+            ints, p, work, nflat, column_pivot, hermite
+        )
+        if known >= nflat:
+            break
+        work += nflat - known
     return QRFactorization(
-        prime=f.prime,
-        q=f.q.cap(nflat),
-        qinv=f.qinv.cap(nflat),
-        r=f.r.cap(nflat),
-        pivots=f.pivots,
-        column_permutation=f.column_permutation,
+        prime=p,
+        q=PadicMatrix.from_int_rows(p, q, nflat),
+        qinv=PadicMatrix.from_int_rows(p, qinv, nflat),
+        r=PadicMatrix.from_int_rows(p, r, nflat),
+        pivots=pivots,
+        column_permutation=colperm if column_pivot else None,
     )
 
 
-def _qr_core(a: PadicMatrix, column_pivot: bool, hermite: bool, rank_prec: int) -> QRFactorization:
-    p = a.prime
-    n, m = a.nrows, a.ncols
-    nflat = a.flat_precision
-    r = a.mutable()
-    q = PadicMatrix.identity(p, n, nflat).mutable()
-    qinv = PadicMatrix.identity(p, n, nflat).mutable()
+def _qr_core(a_ints, p, work, rank_prec, column_pivot, hermite):
+    """The elimination of :func:`qr` on integers mod p^work.
+
+    R, Q and Qinv hold residues mod p^work, of which the digits below
+    ``known`` are certified.  ``known`` starts at ``work`` and each
+    division by a pivot of valuation v lowers it by v: for the
+    elimination below the pivot and, with ``hermite``, for the unit
+    scaling of the pivot row and for the reduction of the entries above
+    the pivot.  Zero tests and pivot valuations read only the digits
+    below min(known, rank_prec).  Returns (r, q, qinv, pivots, column
+    permutation, known).
+    """
+    n, m = len(a_ints), len(a_ints[0])
+    mod = p ** max(work, 0)
+    r = [list(row) for row in a_ints]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    qinv = [row[:] for row in q]
     colperm = list(range(m))
     pivots = []
+    pivot_vals = []
+    known = work
     pr = 0
     pc = 0
     while pr < n and pc < m:
+        # Until a candidate is found, best_v is the zero threshold
+        # min(known, rank_prec); after that, an entry divisible by
+        # p^best_v is no better than the best so far.
+        best_v = max(min(known, rank_prec), 0)
+        bound = p ** best_v
         best = None
         cols = range(pc, m) if column_pivot else (pc,)
-        for i in range(pr, n):
-            for j in cols:
-                e = r[i][j]
-                if e.is_zero or e.valuation >= rank_prec:
-                    continue
-                key = (e.valuation, i, j)
-                if best is None or key < best:
-                    best = key
+        for i, j in ((i, j) for i in range(pr, n) for j in cols):
+            if r[i][j] % bound:
+                best_v = _valuation_int(r[i][j], p)
+                bound = p ** best_v
+                best = (i, j)
+                if best_v == 0:
+                    break
         if best is None:
             if column_pivot:
                 break
             pc += 1
             continue
-        _, bi, bj = best
+        bi, bj = best
         if column_pivot and bj != pc:
             for row in r:
                 row[bj], row[pc] = row[pc], row[bj]
@@ -350,44 +374,46 @@ def _qr_core(a: PadicMatrix, column_pivot: bool, hermite: bool, rank_prec: int) 
             qinv[bi], qinv[pr] = qinv[pr], qinv[bi]
             for row in q:
                 row[bi], row[pr] = row[pr], row[bi]
-        for k in range(pr + 1, n):
-            if r[k][pc].is_zero:
-                continue
-            c = r[k][pc] / r[pr][pc]
-            _row_axpy(r, k, pr, -c)
-            _row_axpy(qinv, k, pr, -c)
-            _col_axpy(q, pr, k, c)
+        inv = pow(r[pr][pc] // bound, -1, mod)
+        multipliers = [r[k][pc] // bound * inv % mod for k in range(pr + 1, n)]
+        for k, c in enumerate(multipliers, start=pr + 1):
+            if c:
+                _sub_row_multiple(r, k, pr, c, mod)
+                _sub_row_multiple(qinv, k, pr, c, mod)
+        _combine_columns(q, pr, 1, pr + 1, multipliers, mod)
+        known -= best_v
         pivots.append((pr, pc))
+        pivot_vals.append(best_v)
         pr += 1
         pc += 1
     if hermite:
-        for (i, j) in pivots:
-            piv = r[i][j]
-            unit = piv.shift(-piv.valuation)
-            inv = unit.inverse()
-            _row_scale(r, i, inv)
-            _row_scale(qinv, i, inv)
-            _col_scale(q, i, unit)
-            v = r[i][j].valuation
-            for i2 in range(i):
-                e = r[i2][j]
-                if e.is_zero:
-                    continue
-                low = PadicNumber.from_int(p, e.lift_int() % p ** v, e.precision)
-                c = (e - low).shift(-v)
-                if c.is_zero:
-                    continue
-                _row_axpy(r, i2, i, -c)
-                _row_axpy(qinv, i2, i, -c)
-                _col_axpy(q, i, i2, c)
-    return QRFactorization(
-        prime=p,
-        q=PadicMatrix(p, q),
-        qinv=PadicMatrix(p, qinv),
-        r=PadicMatrix(p, r),
-        pivots=pivots,
-        column_permutation=colperm if column_pivot else None,
-    )
+        for (i, j), v in zip(pivots, pivot_vals):
+            pv = p ** v
+            unit = r[i][j] // pv
+            inv = pow(unit, -1, mod)
+            r[i] = [e * inv % mod for e in r[i]]
+            qinv[i] = [e * inv % mod for e in qinv[i]]
+            multipliers = [r[i2][j] // pv for i2 in range(i)]
+            for i2, c in enumerate(multipliers):
+                if c:
+                    _sub_row_multiple(r, i2, i, c, mod)
+                    _sub_row_multiple(qinv, i2, i, c, mod)
+            _combine_columns(q, i, unit, 0, multipliers, mod)
+            known -= 2 * v
+    return r, q, qinv, pivots, colperm, known
+
+
+def _sub_row_multiple(rows, dst, src, c, mod):
+    rows[dst] = [(a - c * b) % mod for a, b in zip(rows[dst], rows[src])]
+
+
+def _combine_columns(rows, dst, scale, start, multipliers, mod):
+    """Q <- Q E^-1 for the row operations E of one pivot step, which
+    scaled row dst by 1/scale and subtracted multipliers[t] times row dst
+    from row start + t: column dst becomes scale times itself plus
+    multipliers[t] times column start + t."""
+    for row in rows:
+        row[dst] = (scale * row[dst] + sum(map(mul, multipliers, row[start:]))) % mod
 
 
 # ----------------------------------------------------------------------
@@ -735,11 +761,11 @@ def _hessenberg_householder(a: PadicMatrix):
         x = [b[i][j] for i in range(j + 1, n)]
         h, _ = householder(x)
         hrows = [list(row) for row in h.rows]
-        _apply_block_similarity(b, v, hrows, j + 1, p)
+        _apply_block_similarity(b, v, hrows, j + 1)
     return PadicMatrix(p, b), PadicMatrix(p, v)
 
 
-def _apply_block_similarity(b, v, hrows, offset, p):
+def _apply_block_similarity(b, v, hrows, offset):
     """B <- G^{-1} B G, V <- V G for G = diag(I, H, I); here H^2 = I."""
     n = len(b)
     k = len(hrows)

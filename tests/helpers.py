@@ -12,7 +12,7 @@ import random
 import sympy
 
 from padicnla.padics import PadicNumber
-from padicnla.matrices import PadicMatrix
+from padicnla.matrices import PadicMatrix, QRFactorization, _col_axpy, _row_axpy
 from padicnla.mpoly import MultiPoly
 
 
@@ -87,3 +87,131 @@ def flat_residual(a, v, t):
 
 def zero_at_precision(x):
     return x.is_zero
+
+
+def smith_product(exponents, p, rng):
+    """U diag(p^k) V with U, V unimodular, as an exact integer matrix."""
+    n = len(exponents)
+    a = [[p ** exponents[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, c in _elementary_moves(rng, n):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    for i, j, c in _elementary_moves(rng, n):
+        for row in a:
+            row[i] += c * row[j]
+    return a
+
+
+def _elementary_moves(rng, n):
+    """About 3n random moves "row i += c * row j" with c in [-3, 3]."""
+    moves = []
+    while len(moves) < 3 * n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        c = rng.randrange(-3, 4)
+        if i != j and c:
+            moves.append((i, j, c))
+    return moves
+
+
+# ----------------------------------------------------------------------
+# reference QR: the norm-pivoted elimination on PadicNumber entries, whose
+# zealous arithmetic certifies every digit it keeps; matrices.qr runs the
+# same steps on integers mod p^W and is compared against this.  Unlike the
+# loop it was taken from, it also applies the row operations whose
+# multiplier is an inexact zero: skipping one treats O(p^k) as an exact 0
+# and keeps digits the multiplier does not determine.
+
+def zealous_qr_core(a, column_pivot, hermite, rank_prec):
+    """One elimination pass; rank decisions ignore valuations >= rank_prec."""
+    p = a.prime
+    n, m = a.nrows, a.ncols
+    nflat = a.flat_precision
+    r = a.mutable()
+    q = PadicMatrix.identity(p, n, nflat).mutable()
+    qinv = PadicMatrix.identity(p, n, nflat).mutable()
+    colperm = list(range(m))
+    pivots = []
+    pr = 0
+    pc = 0
+    while pr < n and pc < m:
+        best = None
+        cols = range(pc, m) if column_pivot else (pc,)
+        for i in range(pr, n):
+            for j in cols:
+                e = r[i][j]
+                if e.is_zero or e.valuation >= rank_prec:
+                    continue
+                key = (e.valuation, i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            if column_pivot:
+                break
+            pc += 1
+            continue
+        _, bi, bj = best
+        if column_pivot and bj != pc:
+            for row in r:
+                row[bj], row[pc] = row[pc], row[bj]
+            colperm[bj], colperm[pc] = colperm[pc], colperm[bj]
+        if bi != pr:
+            r[bi], r[pr] = r[pr], r[bi]
+            qinv[bi], qinv[pr] = qinv[pr], qinv[bi]
+            for row in q:
+                row[bi], row[pr] = row[pr], row[bi]
+        for k in range(pr + 1, n):
+            c = r[k][pc] / r[pr][pc]
+            _row_axpy(r, k, pr, -c)
+            _row_axpy(qinv, k, pr, -c)
+            _col_axpy(q, pr, k, c)
+        pivots.append((pr, pc))
+        pr += 1
+        pc += 1
+    if hermite:
+        for (i, j) in pivots:
+            piv = r[i][j]
+            unit = piv.shift(-piv.valuation)
+            inv = unit.inverse()
+            r[i] = [inv * e for e in r[i]]
+            qinv[i] = [inv * e for e in qinv[i]]
+            for row in q:
+                row[i] = unit * row[i]
+            v = r[i][j].valuation
+            for i2 in range(i):
+                e = r[i2][j]
+                low = PadicNumber.from_int(p, e.lift_int() % p ** v, e.precision)
+                c = (e - low).shift(-v)
+                _row_axpy(r, i2, i, -c)
+                _row_axpy(qinv, i2, i, -c)
+                _col_axpy(q, i, i2, c)
+    return QRFactorization(
+        prime=p,
+        q=PadicMatrix(p, q),
+        qinv=PadicMatrix(p, qinv),
+        r=PadicMatrix(p, r),
+        pivots=pivots,
+        column_permutation=colperm if column_pivot else None,
+    )
+
+
+def reference_qr(a, column_pivot=False, hermite=True):
+    """The zealous pass on the input read at its flat precision N (digits
+    beyond N dropped, zeros above), rerun at a working precision raised by
+    the shortfall until every entry of Q, Qinv and R is certified to N, so
+    that every rank decision read N digits; returned capped at N."""
+    nflat = a.flat_precision
+    base = a.cap(nflat)
+    work = nflat
+    while True:
+        f = zealous_qr_core(base.with_precision(work), column_pivot, hermite, nflat)
+        low = min(x.flat_precision for x in (f.q, f.qinv, f.r))
+        if low >= nflat:
+            break
+        work += nflat - low
+    return QRFactorization(
+        prime=f.prime,
+        q=f.q.cap(nflat),
+        qinv=f.qinv.cap(nflat),
+        r=f.r.cap(nflat),
+        pivots=f.pivots,
+        column_permutation=f.column_permutation,
+    )

@@ -19,6 +19,7 @@ from padicnla.eigen import (
     eigenvalue_valuations,
     eigvecs,
     newton_polygon_slopes,
+    poly_derivative,
     poly_eval,
     power_iteration_decomposition,
     qp_poly_roots,
@@ -86,6 +87,14 @@ class TestCharpoly:
 
 
 class TestPolyRoots:
+    def test_derivative_keeps_relative_precision(self):
+        # i * c_i is exact in i: at p = 2 the coefficient i = 512 = 2^9
+        # shifts c_512 by nine places and keeps its ten relative digits
+        coeffs = [PadicNumber.one(2, 10)] * 514
+        deriv = poly_derivative(coeffs)
+        assert deriv[511].valuation == 9
+        assert all(d.relative_precision == 10 for d in deriv)
+
     def test_distinct_residues(self):
         p, nprec = 7, 10
         cs = poly_from_roots([1, 2, 3], p, nprec)
