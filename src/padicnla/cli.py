@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .padics import DomainError, PadicError, PadicNumber
-from .matrices import PadicMatrix, read_matrix, qr, svd, condition_number
+from .matrices import PadicMatrix, read_matrix, qr, svd
 from .mpoly import parse_system
 from .eigen import block_schur_form, eigvecs
 from .solver import IllConditionedWarning, SolverError, solve_system
@@ -218,6 +218,7 @@ def _run_schur(config: RunConfig) -> tuple:
 def _run_qr(config: RunConfig) -> tuple:
     a = _read_matrix_file(config)
     f = qr(a)
+    kappa = f.q.norm() * f.qinv.norm()
     doc = {
         "mode": "qr",
         "prime": a.prime,
@@ -225,11 +226,11 @@ def _run_qr(config: RunConfig) -> tuple:
         "q": _matrix(f.q),
         "r": _matrix(f.r),
         "pivots": [list(t) for t in f.pivots],
-        "condition_number_q": "1",
+        "condition_number_q": str(kappa),
     }
     if config.format == "human":
         text = (
-            f"pivots {f.pivots}  kappa(Q) = {condition_number(f.q)}\n"
+            f"pivots {f.pivots}  kappa(Q) = {kappa}\n"
             f"Q =\n{_human_matrix(f.q)}\nR =\n{_human_matrix(f.r)}\n"
         )
     else:

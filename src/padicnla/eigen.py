@@ -32,7 +32,6 @@ from .matrices import (
     nullspace_mod_pN,
     qr,
     solve,
-    svd,
 )
 from .residue import (
     ResidueMatrix,
@@ -345,22 +344,13 @@ def power_iteration_decomposition(
 
 
 def _kernel_of_iterated_power(b: PadicMatrix, mult: int, nprec: int) -> PadicMatrix:
-    # Squaring piles up p-divisibility and the kernel extraction then
-    # divides by large-valuation invariant factors; run on a lifted
-    # representative so the certified precision survives.  Congruence
-    # mod p^N is preserved by integral products, so the kernel mod p^N
-    # is unchanged.
+    # Products of integral matrices keep their flat precision N, and the
+    # kernel is read from the power mod p^N with certified digits.
     rounds = max(0, math.ceil(math.log2(max(2, mult * nprec))))
-    work = nprec * (2 * b.nrows + 4)
-    b = b.cap(nprec).with_precision(work)
+    b = b.cap(nprec)
     for _ in range(rounds):
         b = b @ b
-    kernel = nullspace_mod_pN(b, nprec).cap(nprec)
-    if kernel.ncols and kernel.flat_precision < nprec:
-        raise EigenError(
-            "kernel basis lost certified precision; working precision exhausted"
-        )
-    return kernel
+    return nullspace_mod_pN(b, nprec)
 
 
 def _residue_cofactor_block(a, chi_residue, roots, nprec) -> InvariantBlock:
@@ -614,19 +604,16 @@ def _complement_block(a: PadicMatrix, roots: list, nprec: int) -> InvariantBlock
     rounds = max(1, math.ceil(math.log2(max(2, n * nprec))))
     for _ in range(rounds):
         b = b @ b
-    # image basis: the unit-singular-value columns of U
-    s = svd(b)
-    img_idx = [
-        j for j, sig in enumerate(s.sigma)
-        if not (sig.is_zero or sig.valuation >= nprec)
-    ]
-    if not img_idx:
+    # image basis: the columns of Q at the pivots of valuation below N
+    f = qr(b, column_pivot=True)
+    rank = sum(f.r[i, j].valuation < nprec for i, j in f.pivots)
+    if not rank:
         # the complement is not visible at this precision; report the
         # whole space as unresolved rather than claim a decomposition
         return InvariantBlock(
             operator=a.cap(nprec), basis=PadicMatrix.identity(p, n, nprec)
         )
-    basis = PadicMatrix(p, [[s.u[i, j] for j in img_idx] for i in range(n)])
+    basis = f.q.submatrix(range(n), range(rank))
     try:
         operator = solve(basis, a @ basis)
     except (SingularMatrixError, PrecisionError):

@@ -12,11 +12,13 @@ elimination of :func:`qr`, which every factorization, nullspace and
 solve runs on: it reads the matrix at its flat precision N as integers
 mod p^N, eliminates on residues mod p^W (W >= N) while one counter
 tracks how many digits are still certified, and converts the factors
-back to scalars at precision N once, at the end.
+back to scalars at precision N once, at the end.  A kernel is read off
+one column-pivoted qr of the transpose (the rows of Qinv past the
+rank), so it is certified to the precision it was asked for.
 
-All algorithms assume integral entries; the qr/svd wrappers factor out
-p^(min valuation) from matrices with negative-valuation entries and
-re-attach it to R or Sigma.
+All algorithms assume integral entries; the svd and nullspace wrappers
+factor out p^(min valuation) from matrices with negative-valuation
+entries and re-attach it to Sigma or to the invariants.
 """
 
 from __future__ import annotations
@@ -165,11 +167,6 @@ class PadicMatrix:
     def mat_vec(self, v: list) -> list:
         return [_dot(row, v) for row in self.rows]
 
-    def hstack(self, other):
-        return PadicMatrix(
-            self.prime, [list(r1) + list(r2) for r1, r2 in zip(self.rows, other.rows)]
-        )
-
     def submatrix(self, rows, cols):
         return PadicMatrix(self.prime, [[self.rows[i][j] for j in cols] for i in rows])
 
@@ -270,15 +267,6 @@ class QRFactorization:
         for j, cj in enumerate(self.column_permutation):
             cols[cj] = qr_.column(j)
         return PadicMatrix(self.prime, list(map(list, zip(*cols))))
-
-
-def _row_axpy(rows, dst, src, c):
-    rows[dst] = [a + c * b for a, b in zip(rows[dst], rows[src])]
-
-
-def _col_axpy(rows, dst, src, c):
-    for row in rows:
-        row[dst] = row[dst] + c * row[src]
 
 
 def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFactorization:
@@ -425,15 +413,15 @@ class SVDFactorization:
 
     The valuations of ``sigma`` are the Smith invariants of the column
     module, sorted ascending; trailing inexact zeros stand for
-    invariants of valuation >= the flat precision.
+    invariants of valuation >= the flat precision.  Kernels and images
+    do not go through this factorization: :func:`nullspace_mod_pN` and
+    the image bases read them from one :func:`qr` directly.
     """
 
     prime: int
     u: PadicMatrix
-    uinv: PadicMatrix
     sigma: list
     v: PadicMatrix
-    vinv: PadicMatrix
     rank: int
 
     def sigma_matrix(self, nrows, ncols) -> PadicMatrix:
@@ -462,93 +450,60 @@ def svd(a: PadicMatrix) -> SVDFactorization:
     nu = a.min_valuation()
     if nu is not None and nu < 0:
         inner = svd(a.shift(-nu))
-        return SVDFactorization(
-            prime=a.prime,
-            u=inner.u,
-            uinv=inner.uinv,
-            sigma=[s.shift(nu) for s in inner.sigma],
-            v=inner.v,
-            vinv=inner.vinv,
-            rank=inner.rank,
-        )
+        return SVDFactorization(a.prime, inner.u, [s.shift(nu) for s in inner.sigma],
+                                inner.v, inner.rank)
     p = a.prime
     n, m = a.nrows, a.ncols
     nflat = a.flat_precision
     f = qr(a, column_pivot=True, hermite=True)
     rank = len(f.pivots)
-    sigma = []
-    w_rows = []
-    for i in range(min(n, m)):
-        if i < rank:
-            piv = f.r[i, i]
-            sigma.append(piv)
-            w_rows.append([e.shift(-piv.valuation) for e in f.r.rows[i]])
-        else:
-            sigma.append(PadicNumber.zero(p, nflat))
-    # Extend the unit rows of W to an invertible upper triangular m x m matrix.
     one = PadicNumber.one(p, nflat)
     zero = PadicNumber.zero(p, nflat)
-    vbig = []
-    for i in range(m):
-        if i < rank:
-            vbig.append(list(w_rows[i]))
-        else:
-            vbig.append([one if j == i else zero for j in range(m)])
-    vbig_inv = _invert_unit_upper_triangular(vbig, p, nflat)
-    perm = f.column_permutation
-    inv_perm = [0] * m
-    for j, cj in enumerate(perm):
-        inv_perm[cj] = j
-    # V = S @ Vbig^T where S e_j = e_{perm[j]}; row i of V is column
-    # inv_perm[i] of Vbig^T, i.e. row-wise gather of Vbig columns.
-    v_rows = [[vbig[j][inv_perm[i]] for j in range(m)] for i in range(m)]
-    vinv_rows = [[vbig_inv[inv_perm[j]][i] for j in range(m)] for i in range(m)]
-    return SVDFactorization(
-        prime=p,
-        u=f.q,
-        uinv=f.qinv,
-        sigma=sigma,
-        v=PadicMatrix(p, v_rows),
-        vinv=PadicMatrix(p, vinv_rows),
-        rank=rank,
-    )
+    sigma = [f.r[i, i] for i in range(rank)] + [zero] * (min(n, m) - rank)
+    # W: the rows of R divided by their pivots, extended by unit rows to
+    # an upper triangular m x m matrix with unit diagonal, so that
+    # A S = U diag(sigma) W for the column permutation S e_j = e_{perm[j]}.
+    w = [[e.shift(-sigma[i].valuation) for e in f.r.rows[i]] for i in range(rank)]
+    w += [[one if j == i else zero for j in range(m)] for i in range(rank, m)]
+    # V = S W^T: row perm[j] of V is column j of W.
+    v_rows = [None] * m
+    for j, cj in enumerate(f.column_permutation):
+        v_rows[cj] = [row[j] for row in w]
+    return SVDFactorization(prime=p, u=f.q, sigma=sigma, v=PadicMatrix(p, v_rows),
+                            rank=rank)
 
 
-def _invert_unit_upper_triangular(rows, p, nflat):
-    """Inverse of an upper triangular matrix with unit diagonal entries."""
-    m = len(rows)
-    inv = [[None] * m for _ in range(m)]
-    zero = PadicNumber.zero(p, nflat)
-    for j in range(m):
-        col = [zero] * m
-        for i in range(j, -1, -1):
-            rhs = PadicNumber.one(p, nflat) if i == j else PadicNumber.zero(p, nflat)
-            acc = rhs
-            for k in range(i + 1, j + 1):
-                acc = acc - rows[i][k] * col[k]
-            col[i] = acc / rows[i][i]
-        for i in range(m):
-            inv[i][j] = col[i]
-    return inv
+def _kernel_rows(a: PadicMatrix, precision: int) -> tuple:
+    """Rows spanning the kernel of A mod p^precision, and the Smith
+    invariants of A below ``precision``.
+
+    Runs the column-pivoted qr of A^T read mod p^precision.  Its rows of
+    Qinv past the rank satisfy Qinv A^T S = R = 0 there, so they span the
+    kernel; as rows of a unimodular matrix they extend to a basis of
+    Z_p^m, and qr certifies them to ``precision``.  Column pivoting makes
+    the pivot valuations the Smith invariants, so the rank counts the
+    invariants below ``precision``.  Negative-valuation inputs are
+    rescaled to integral ones, and their invariants shifted back.
+    """
+    nu = a.min_valuation()
+    if nu is not None and nu < 0:
+        rows, invariants = _kernel_rows(a.shift(-nu), precision - nu)
+        return rows, [v + nu for v in invariants]
+    f = qr(a.cap(precision).transpose(), column_pivot=True, hermite=False)
+    return f.qinv.rows[len(f.pivots):], [f.r[i, j].valuation for i, j in f.pivots]
 
 
 def nullspace_mod_pN(a: PadicMatrix, precision: int) -> PadicMatrix:
     """Basis of the free part of the kernel of A modulo p^precision.
 
-    Kernel generators are the dual columns attached to singular values
-    of valuation >= ``precision`` (and any dimensions beyond the rank
-    for wide matrices).  Columns of the result extend to a basis of
-    Z_p^m, so the spanned module has trivial annihilator.
+    One generator per Smith invariant of valuation >= ``precision``
+    (and per dimension beyond the rank for wide matrices), each entry
+    at precision ``precision`` when A is integral and known to it.
+    Columns of the result extend to a basis of Z_p^m, so the spanned
+    module has trivial annihilator.
     """
-    s = svd(a)
-    m = a.ncols
-    kernel_idx = [
-        j
-        for j in range(m)
-        if j >= len(s.sigma) or s.sigma[j].is_zero or s.sigma[j].valuation >= precision
-    ]
-    cols = [[s.vinv[j, i] for j in kernel_idx] for i in range(m)]
-    return PadicMatrix(a.prime, cols)
+    rows, _ = _kernel_rows(a, precision)
+    return PadicMatrix(a.prime, [[row[i] for row in rows] for i in range(a.ncols)])
 
 
 # ----------------------------------------------------------------------
@@ -667,32 +622,20 @@ def householder(x: list) -> tuple:
 # ----------------------------------------------------------------------
 # Hessenberg reduction
 
-def hessenberg(a: PadicMatrix, method: str = "rows") -> tuple:
+def hessenberg(a: PadicMatrix) -> tuple:
     """Similarity reduction to upper Hessenberg form: A V = V B.
 
-    The default row-operation method eliminates each subcolumn with
-    norm-pivoted row operations (mirrored column operations keep the
-    similarity); ``method="householder"`` preconditions each subcolumn
-    to have a unique minimal-valuation coordinate and applies the
-    reflection instead.
+    Eliminates each subcolumn with norm-pivoted row operations; the
+    mirrored column operations keep the similarity.
     """
     if a.nrows != a.ncols:
         raise ValueError("hessenberg reduction of a non-square matrix")
     if not a.is_integral():
         raise DomainError("hessenberg requires integral entries")
-    if method == "rows":
-        return _hessenberg_rows(a)
-    if method == "householder":
-        return _hessenberg_householder(a)
-    raise ValueError(f"unknown hessenberg method {method!r}")
-
-
-def _hessenberg_rows(a: PadicMatrix):
     p = a.prime
     n = a.nrows
-    nflat = a.flat_precision
     b = a.mutable()
-    v = PadicMatrix.identity(p, n, nflat).mutable()
+    v = PadicMatrix.identity(p, n, a.flat_precision).mutable()
 
     def swap(i, j):
         b[i], b[j] = b[j], b[i]
@@ -703,9 +646,11 @@ def _hessenberg_rows(a: PadicMatrix):
 
     def axpy(dst, src, c):
         # B <- E B E^{-1} and V <- V E^{-1} for E adding c * row src to row dst.
-        _row_axpy(b, dst, src, c)
-        _col_axpy(b, src, dst, -c)
-        _col_axpy(v, src, dst, -c)
+        b[dst] = [x + c * y for x, y in zip(b[dst], b[src])]
+        for row in b:
+            row[src] = row[src] - c * row[dst]
+        for row in v:
+            row[src] = row[src] - c * row[dst]
 
     for j in range(n - 2):
         cand = [
@@ -722,67 +667,6 @@ def _hessenberg_rows(a: PadicMatrix):
             c = b[i][j] / b[j + 1][j]
             axpy(i, j + 1, -c)
     return PadicMatrix(p, b), PadicMatrix(p, v)
-
-
-def _hessenberg_householder(a: PadicMatrix):
-    p = a.prime
-    n = a.nrows
-    nflat = a.flat_precision
-    b = a.mutable()
-    v = PadicMatrix.identity(p, n, nflat).mutable()
-
-    for j in range(n - 2):
-        sub = [b[i][j] for i in range(j + 1, n)]
-        if all(e.is_zero for e in sub):
-            continue
-        if len(sub) == 1:
-            continue
-        # Precondition: make the last subdiagonal entry the unique
-        # minimal-valuation one, using the trailing row for pivoting.
-        vals = [(e.valuation, i) for i, e in enumerate(sub) if not e.is_zero]
-        rmin, imin = min(vals)
-        last = n - 1
-        tgt = j + 1 + imin
-        if tgt != last:
-            b[tgt], b[last] = b[last], b[tgt]
-            for row in b:
-                row[tgt], row[last] = row[last], row[tgt]
-            for row in v:
-                row[tgt], row[last] = row[last], row[tgt]
-        for i in range(j + 1, last):
-            e = b[i][j]
-            if e.is_zero or e.valuation > rmin:
-                continue
-            # Knock the valuation up so the last coordinate is uniquely minimal.
-            c = e / b[last][j]
-            _row_axpy(b, i, last, -c)
-            _col_axpy(b, last, i, c)
-            _col_axpy(v, last, i, c)
-        x = [b[i][j] for i in range(j + 1, n)]
-        h, _ = householder(x)
-        hrows = [list(row) for row in h.rows]
-        _apply_block_similarity(b, v, hrows, j + 1)
-    return PadicMatrix(p, b), PadicMatrix(p, v)
-
-
-def _apply_block_similarity(b, v, hrows, offset):
-    """B <- G^{-1} B G, V <- V G for G = diag(I, H, I); here H^2 = I."""
-    n = len(b)
-    k = len(hrows)
-    idx = range(offset, offset + k)
-    # rows: B[idx, :] <- H @ B[idx, :]
-    for jcol in range(n):
-        col = [b[i][jcol] for i in idx]
-        new = [_dot(hrows[t], col) for t in range(k)]
-        for t, i in enumerate(idx):
-            b[i][jcol] = new[t]
-    # columns: B[:, idx] <- B[:, idx] @ H ; V likewise
-    for mat in (b, v):
-        for row in mat:
-            seg = [row[i] for i in idx]
-            new = [_dot(seg, [hrows[t][s] for t in range(k)]) for s in range(k)]
-            for s, i in enumerate(idx):
-                row[i] = new[s]
 
 
 def is_hessenberg_at_precision(a: PadicMatrix) -> bool:

@@ -89,14 +89,6 @@ class MultiPoly:
     def scale(self, s: PadicNumber):
         return MultiPoly(self.prime, self.nvars, {e: s * c for e, c in self.coeffs.items()})
 
-    def shift_monomial(self, exp: tuple):
-        """Multiply by the monomial with exponent tuple ``exp`` (exact)."""
-        return MultiPoly(
-            self.prime,
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.coeffs.items()},
-        )
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.coeffs.items():

@@ -1,12 +1,13 @@
 """0-dimensional polynomial system solving over Q_p.
 
 Pipeline: build the resultant (Macaulay) matrix at the degree where
-its image is exactly I \\cap V_D, compute the cokernel projection by a
-p-adic SVD, pick a well-conditioned monomial basis of the quotient
-with column-pivoted QR, read off the multiplication operators, and
-extract solution coordinates from the eigenvectors of one random
-linear combination of those operators.  Coordinates outside Q_p are
-dropped and counted, residuals are evaluated and recorded per point.
+its image is exactly I \\cap V_D, read the cokernel projection off the
+column-pivoted QR of its transpose, pick a well-conditioned monomial
+basis of the quotient with column-pivoted QR, read off the
+multiplication operators, and extract solution coordinates from the
+eigenvectors of one random linear combination of those operators.
+Coordinates outside Q_p are dropped and counted, residuals are
+evaluated and recorded per point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .padics import PadicError, PadicNumber
-from .matrices import PadicMatrix, _dot, solve, svd, qr
+from .matrices import PadicMatrix, _dot, _kernel_rows, solve, qr
 from .mpoly import monomials_upto
 from .eigen import eigvecs
 from .residue import poly_gcd
@@ -94,40 +95,27 @@ def cokernel(msys: MacaulaySystem) -> PadicMatrix:
     """The projection pi: V_D -> V_D / (I \\cap V_D), as a delta x dim(V_D)
     matrix whose rows annihilate every row of the resultant matrix.
 
-    delta is read from the singular values of valuation >= N; singular
-    values strictly between 0 and N make the quotient dimension
+    delta counts the Smith invariants of valuation >= N; invariants
+    strictly between 0 and N make the quotient dimension
     precision-dependent and raise :class:`IllConditionedWarning`.
     """
-    a = msys.matrix
-    nprec = msys.precision
-    s = svd(a)
-    m = a.ncols
-    kernel_idx = [
-        j for j in range(m)
-        if j >= len(s.sigma) or s.sigma[j].is_zero or s.sigma[j].valuation >= nprec
-    ]
-    fuzzy = [
-        s.sigma[j].valuation
-        for j in range(len(s.sigma))
-        if not s.sigma[j].is_zero and 0 < s.sigma[j].valuation < nprec
-    ]
+    rows, invariants = _kernel_rows(msys.matrix, msys.precision)
+    fuzzy = sorted(v for v in invariants if v > 0)
     if fuzzy:
         warnings.warn(
             IllConditionedWarning(
-                "singular values of valuation "
-                f"{sorted(fuzzy)} blur the quotient dimension at precision "
-                f"{nprec}",
-                sorted(fuzzy),
+                f"singular values of valuation {fuzzy} blur the quotient "
+                f"dimension at precision {msys.precision}",
+                fuzzy,
             )
         )
-    if not kernel_idx:
+    if not rows:
         raise SolverError(
             "quotient is zero at working precision: the system has no "
             "solutions or is not 0-dimensional",
             kind="no-solutions",
         )
-    pi_rows = [[s.vinv[j, i] for i in range(m)] for j in kernel_idx]
-    return PadicMatrix(msys.prime, pi_rows)
+    return PadicMatrix(msys.prime, rows)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import random
 import sympy
 
 from padicnla.padics import PadicNumber
-from padicnla.matrices import PadicMatrix, QRFactorization, _col_axpy, _row_axpy
+from padicnla.matrices import PadicMatrix, QRFactorization
 from padicnla.mpoly import MultiPoly
 
 
@@ -119,6 +119,15 @@ def _elementary_moves(rng, n):
 # loop it was taken from, it also applies the row operations whose
 # multiplier is an inexact zero: skipping one treats O(p^k) as an exact 0
 # and keeps digits the multiplier does not determine.
+
+def _row_axpy(rows, dst, src, c):
+    rows[dst] = [a + c * b for a, b in zip(rows[dst], rows[src])]
+
+
+def _col_axpy(rows, dst, src, c):
+    for row in rows:
+        row[dst] = row[dst] + c * row[src]
+
 
 def zealous_qr_core(a, column_pivot, hermite, rank_prec):
     """One elimination pass; rank decisions ignore valuations >= rank_prec."""

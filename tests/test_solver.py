@@ -152,5 +152,6 @@ class TestWarnings:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ss = solve_system(sf.polynomials, seed=0)
-        assert any(isinstance(w.message, IllConditionedWarning) for w in caught)
+        ill = [w.message for w in caught if isinstance(w.message, IllConditionedWarning)]
+        assert [w.valuations for w in ill] == [[1]]
         assert len(ss.points) == 1
