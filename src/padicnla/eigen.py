@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .padics import PadicError, PadicNumber, PrecisionError, _valuation_int
 from .matrices import (
@@ -27,6 +28,9 @@ from .matrices import (
     SingularMatrixError,
     _back_substitute,
     _dot,
+    _int_kernel_rows,
+    _int_rows,
+    _qr_ints,
     hessenberg,
     normalize_vector,
     nullspace_mod_pN,
@@ -137,16 +141,27 @@ def poly_taylor_shift(coeffs: list, center: PadicNumber) -> list:
     return out
 
 
-def matrix_poly_eval(int_coeffs: list, a: PadicMatrix, precision: int) -> PadicMatrix:
-    """Evaluate a polynomial with small integer coefficients at A (Horner)."""
-    p = a.prime
-    n = a.nrows
-    acc = None
-    for c in reversed(int_coeffs):
-        cm = PadicMatrix.identity(p, n, precision).scale(
-            PadicNumber.from_int(p, c, precision)
-        )
-        acc = cm if acc is None else acc @ a + cm
+def _int_matmul(a: list, b: list, mod: int) -> list:
+    """The product of two integer matrices, reduced mod ``mod``."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in bt] for row in a]
+
+
+def _int_shifted(a: list, lam: int, mod: int) -> list:
+    """A - lam I for a square integer matrix A reduced mod ``mod``."""
+    return [[(x - lam) % mod if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+def _int_poly_at(coeffs: list, a: list, mod: int) -> list:
+    """Horner evaluation of an integer polynomial (coefficients low to
+    high) at a square integer matrix, reduced mod ``mod``."""
+    n = len(a)
+    acc = [[coeffs[-1] % mod if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(coeffs[:-1]):
+        acc = _int_matmul(acc, a, mod)
+        for i in range(n):
+            acc[i][i] = (acc[i][i] + c) % mod
     return acc
 
 
@@ -324,11 +339,11 @@ def power_iteration_decomposition(
     roots = linear_roots_with_multiplicity(chi_residue)
     if not roots:
         raise EigenError("power iteration needs at least one residue eigenvalue")
+    ints = _int_rows(a, nprec)
+    mod = p ** nprec
     blocks = []
     for lam, mult in roots:
-        lam_p = PadicNumber.from_int(p, lam, nprec)
-        shifted = a - PadicMatrix.identity(p, n, nprec).scale(lam_p)
-        basis = _kernel_of_iterated_power(shifted, mult, nprec)
+        basis = _kernel_of_iterated_power(_int_shifted(ints, lam, mod), p, mult, nprec)
         if basis.ncols != mult:
             raise EigenError(
                 f"invariant-subspace dimension {basis.ncols} does not match "
@@ -343,14 +358,20 @@ def power_iteration_decomposition(
     return blocks
 
 
-def _kernel_of_iterated_power(b: PadicMatrix, mult: int, nprec: int) -> PadicMatrix:
-    # Products of integral matrices keep their flat precision N, and the
-    # kernel is read from the power mod p^N with certified digits.
+def _kernel_of_iterated_power(b: list, p: int, mult: int, nprec: int) -> PadicMatrix:
+    """nullspace_mod_pN(B^(2^k), N) for an integral B given as integers
+    mod p^N, with k = ceil(log2(mult N)) squarings.
+
+    The kernel is read mod p^N, and zealous products of integral entries
+    known to N agree with the integer products mod p^N, so the squarings
+    run on the integers.
+    """
     rounds = max(0, math.ceil(math.log2(max(2, mult * nprec))))
-    b = b.cap(nprec)
+    mod = p ** nprec
     for _ in range(rounds):
-        b = b @ b
-    return nullspace_mod_pN(b, nprec)
+        b = _int_matmul(b, b, mod)
+    rows, _ = _int_kernel_rows(b, p, nprec)
+    return PadicMatrix(p, [[row[i] for row in rows] for i in range(len(b))])
 
 
 def _residue_cofactor_block(a, chi_residue, roots, nprec) -> InvariantBlock:
@@ -363,9 +384,9 @@ def _residue_cofactor_block(a, chi_residue, roots, nprec) -> InvariantBlock:
     rho, rem = poly_divmod(chi_residue.coeffs, lin, p)
     if rem:
         raise EigenError("residue characteristic polynomial failed to split")
-    b = matrix_poly_eval(rho, a, nprec)
+    b = _int_poly_at(rho, _int_rows(a, nprec), p ** nprec)
     deg = len(rho) - 1
-    basis = _kernel_of_iterated_power(b, deg, nprec)
+    basis = _kernel_of_iterated_power(b, p, deg, nprec)
     operator = solve(basis, a @ basis)
     return InvariantBlock(operator=operator, basis=basis)
 
@@ -596,24 +617,28 @@ def _complement_block(a: PadicMatrix, roots: list, nprec: int) -> InvariantBlock
     """Invariant block complementary to the resolved root subspaces."""
     p = a.prime
     n = a.nrows
-    b = PadicMatrix.identity(p, n, nprec)
+    # the roots are known to their own precision only
+    work = min([nprec] + [root.value.precision for root in roots])
+    mod = p ** work
+    ints = _int_rows(a, work)
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
     for root in roots:
-        shifted = a - PadicMatrix.identity(p, n, nprec).scale(root.value.cap(nprec))
+        shifted = _int_shifted(ints, root.value.lift_int(), mod)
         for _ in range(root.multiplicity):
-            b = b @ shifted
+            b = _int_matmul(b, shifted, mod)
     rounds = max(1, math.ceil(math.log2(max(2, n * nprec))))
     for _ in range(rounds):
-        b = b @ b
-    # image basis: the columns of Q at the pivots of valuation below N
-    f = qr(b, column_pivot=True)
-    rank = sum(f.r[i, j].valuation < nprec for i, j in f.pivots)
+        b = _int_matmul(b, b, mod)
+    # image basis: the columns of Q at the pivots, all of valuation below N
+    _, q, _, pivots, _ = _qr_ints(b, p, work, True, True)
+    rank = len(pivots)
     if not rank:
         # the complement is not visible at this precision; report the
         # whole space as unresolved rather than claim a decomposition
         return InvariantBlock(
             operator=a.cap(nprec), basis=PadicMatrix.identity(p, n, nprec)
         )
-    basis = f.q.submatrix(range(n), range(rank))
+    basis = PadicMatrix.from_int_rows(p, [row[:rank] for row in q], work)
     try:
         operator = solve(basis, a @ basis)
     except (SingularMatrixError, PrecisionError):
@@ -877,10 +902,10 @@ def _read_block_valuations(t: PadicMatrix, nprec: int) -> list:
 
 
 def _det_valuation(block: PadicMatrix, nprec: int) -> int:
-    f = qr(block)
-    total = 0
-    rank = len(f.pivots)
-    for i, j in f.pivots:
-        total += f.r[i, j].valuation
-    total += (block.nrows - rank) * nprec
-    return total
+    """Sum of the pivot valuations of qr(block), with nprec for each
+    missing pivot."""
+    p = block.prime
+    nflat = block.flat_precision
+    r, _, _, pivots, _ = _qr_ints(_int_rows(block, nflat), p, nflat, False, False)
+    missing = block.nrows - len(pivots)
+    return sum(_valuation_int(r[i][j], p) for i, j in pivots) + missing * nprec

@@ -10,11 +10,16 @@ and Hessenberg reduction.
 Entries are zealous :class:`PadicNumber` scalars, except inside the
 elimination of :func:`qr`, which every factorization, nullspace and
 solve runs on: it reads the matrix at its flat precision N as integers
-mod p^N, eliminates on residues mod p^W (W >= N) while one counter
-tracks how many digits are still certified, and converts the factors
-back to scalars at precision N once, at the end.  A kernel is read off
-one column-pivoted qr of the transpose (the rows of Qinv past the
-rank), so it is certified to the precision it was asked for.
+mod p^N (:func:`_int_rows`), eliminates on residues mod p^W (W >= N)
+while one counter tracks how many digits are still certified, reruns
+with W raised by the shortfall until N digits survive (:func:`_qr_ints`),
+and converts the factors back to scalars at precision N once, at the
+end.  A kernel is read off one column-pivoted elimination of the
+transpose (the rows of Qinv past the rank), so it is certified to the
+precision it was asked for; :func:`_int_kernel_rows` takes the matrix as
+integers, so callers that already hold integers mod p^N (the
+eigensolver's matrix powers) pass them straight in, and only the kernel
+rows become scalars.
 
 All algorithms assume integral entries; the svd and nullspace wrappers
 factor out p^(min valuation) from matrices with negative-valuation
@@ -289,16 +294,9 @@ def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFa
         raise DomainError("qr requires integral entries; rescale by p^(-min val) first")
     p = a.prime
     nflat = a.flat_precision
-    top = p ** max(nflat, 0)
-    ints = [[e.lift_int() % top for e in row] for row in a.rows]
-    work = nflat
-    while True:
-        r, q, qinv, pivots, colperm, known = _qr_core(
-            ints, p, work, nflat, column_pivot, hermite
-        )
-        if known >= nflat:
-            break
-        work += nflat - known
+    r, q, qinv, pivots, colperm = _qr_ints(
+        _int_rows(a, nflat), p, nflat, column_pivot, hermite
+    )
     return QRFactorization(
         prime=p,
         q=PadicMatrix.from_int_rows(p, q, nflat),
@@ -307,6 +305,31 @@ def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFa
         pivots=pivots,
         column_permutation=colperm if column_pivot else None,
     )
+
+
+def _int_rows(a: PadicMatrix, precision: int) -> list:
+    """The entries of an integral matrix as integers mod p^precision."""
+    top = a.prime ** max(precision, 0)
+    return [[e.lift_int() % top for e in row] for row in a.rows]
+
+
+def _qr_ints(ints, p, precision, column_pivot, hermite):
+    """:func:`qr` on a matrix given as integers mod p^precision.
+
+    Runs :func:`_qr_core` at working precision ``precision`` and, while
+    that loses digits, reruns it on the same integers at a working
+    precision raised by the shortfall, until ``precision`` digits
+    survive.  Returns (r, q, qinv, pivots, column permutation), residues
+    certified mod p^precision.
+    """
+    work = precision
+    while True:
+        r, q, qinv, pivots, colperm, known = _qr_core(
+            ints, p, work, precision, column_pivot, hermite
+        )
+        if known >= precision:
+            return r, q, qinv, pivots, colperm
+        work += precision - known
 
 
 def _qr_core(a_ints, p, work, rank_prec, column_pivot, hermite):
@@ -489,8 +512,19 @@ def _kernel_rows(a: PadicMatrix, precision: int) -> tuple:
     if nu is not None and nu < 0:
         rows, invariants = _kernel_rows(a.shift(-nu), precision - nu)
         return rows, [v + nu for v in invariants]
-    f = qr(a.cap(precision).transpose(), column_pivot=True, hermite=False)
-    return f.qinv.rows[len(f.pivots):], [f.r[i, j].valuation for i, j in f.pivots]
+    nflat = min(a.flat_precision, precision)
+    return _int_kernel_rows(_int_rows(a, nflat), a.prime, nflat)
+
+
+def _int_kernel_rows(ints, p, precision) -> tuple:
+    """:func:`_kernel_rows` of a matrix given as integers mod p^precision.
+
+    Only the kernel rows of Qinv become :class:`PadicNumber` entries;
+    the invariants are the valuations of the integer pivots of R.
+    """
+    r, _, qinv, pivots, _ = _qr_ints(list(zip(*ints)), p, precision, True, False)
+    rows = PadicMatrix.from_int_rows(p, qinv[len(pivots):], precision).rows
+    return rows, [_valuation_int(r[i][j], p) for i, j in pivots]
 
 
 def nullspace_mod_pN(a: PadicMatrix, precision: int) -> PadicMatrix:

@@ -135,13 +135,24 @@ class TNF:
 
 def select_basis(pi: PadicMatrix, msys: MacaulaySystem):
     """Choose delta monomials of degree < D whose pi-columns form a
-    well-conditioned square block (column-pivoted QR, unit pivots)."""
+    well-conditioned square block (column-pivoted QR, unit pivots).
+
+    Fewer than delta pivots mean that the monomials of degree < D do not
+    span the quotient, so the system is not 0-dimensional at degree D:
+    that raises :class:`SolverError`.
+    """
     delta = pi.nrows
     low_idx = [j for j, e in enumerate(msys.monomials) if sum(e) < msys.degree]
     sub = pi.submatrix(range(delta), low_idx)
     f = qr(sub, column_pivot=True, hermite=False)
-    pivot_vals = [f.r[i, j].valuation for i, j in f.pivots[:delta]]
-    if len(f.pivots) < delta or any(v != 0 for v in pivot_vals):
+    if len(f.pivots) < delta:
+        raise SolverError(
+            f"system is not 0-dimensional at degree {msys.degree}: monomials "
+            f"of degree < {msys.degree} span {len(f.pivots)} of the {delta} "
+            "quotient dimensions"
+        )
+    pivot_vals = [f.r[i, j].valuation for i, j in f.pivots]
+    if any(v != 0 for v in pivot_vals):
         warnings.warn(
             IllConditionedWarning(
                 "basis selection found only "
@@ -150,7 +161,7 @@ def select_basis(pi: PadicMatrix, msys: MacaulaySystem):
                 pivot_vals,
             )
         )
-    chosen = [low_idx[f.column_permutation[j]] for _, j in f.pivots[:delta]]
+    chosen = [low_idx[f.column_permutation[j]] for _, j in f.pivots]
     chosen_cols = sorted(chosen)
     basis = [msys.monomials[j] for j in chosen_cols]
     return basis, chosen_cols, pivot_vals

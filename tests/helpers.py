@@ -7,13 +7,15 @@ built from known solution points).  sympy never touches the code under
 test's own data structures.
 """
 
+import math
 import random
 
 import sympy
 
 from padicnla.padics import PadicNumber
-from padicnla.matrices import PadicMatrix, QRFactorization
+from padicnla.matrices import PadicMatrix, QRFactorization, nullspace_mod_pN, solve
 from padicnla.mpoly import MultiPoly
+from padicnla.residue import poly_divmod, poly_mul
 
 
 def rand_unimodular(n, rng, spread=3):
@@ -224,3 +226,44 @@ def reference_qr(a, column_pivot=False, hermite=True):
         pivots=f.pivots,
         column_permutation=f.column_permutation,
     )
+
+
+# ----------------------------------------------------------------------
+# reference invariant-subspace step: the eigensolver's matrix powers on
+# PadicNumber entries, followed by nullspace_mod_pN; eigen runs the same
+# powers on integers mod p^N and is compared against these.
+
+def zealous_matrix_poly(int_coeffs, a, precision):
+    """Horner evaluation of an integer polynomial at A, entrywise zealous."""
+    p = a.prime
+    n = a.nrows
+    acc = None
+    for c in reversed(int_coeffs):
+        cm = PadicMatrix.identity(p, n, precision).scale(
+            PadicNumber.from_int(p, c, precision)
+        )
+        acc = cm if acc is None else acc @ a + cm
+    return acc
+
+
+def zealous_kernel_of_iterated_power(b, mult, nprec):
+    """Kernel mod p^N of B squared ceil(log2(mult N)) times."""
+    rounds = max(0, math.ceil(math.log2(max(2, mult * nprec))))
+    b = b.cap(nprec)
+    for _ in range(rounds):
+        b = b @ b
+    return nullspace_mod_pN(b, nprec)
+
+
+def zealous_residue_cofactor_block(a, chi_residue, roots, nprec):
+    """(basis, operator) of the invariant block of the residue factors of
+    chi_residue without roots in F_p."""
+    p = a.prime
+    lin = [1]
+    for lam, mult in roots:
+        for _ in range(mult):
+            lin = poly_mul(lin, [(-lam) % p, 1], p)
+    rho, _ = poly_divmod(chi_residue.coeffs, lin, p)
+    b = zealous_matrix_poly(rho, a, nprec)
+    basis = zealous_kernel_of_iterated_power(b, len(rho) - 1, nprec)
+    return basis, solve(basis, a @ basis)

@@ -96,6 +96,14 @@ class TestSolveMode:
         path.write_text("p=7 prec=6 vars=x\nx - 1\nx - 2\n")
         assert main(["--mode", "solve", "--input", str(path)]) == EXIT_NO_SOLUTIONS
 
+    def test_not_zero_dimensional_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "curve.txt"
+        path.write_text("p=7 prec=6 vars=x,y\nx^2 - 2\n")
+        assert main(["--mode", "solve", "--input", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("error: system is not 0-dimensional at degree 2: monomials "
+                       "of degree < 2 span 3 of the 5 quotient dimensions\n")
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("p=7 prec=6 vars=x\nx + + 1\n")

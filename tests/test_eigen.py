@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from padicnla.padics import PadicNumber
 from padicnla.matrices import (
     PadicMatrix,
+    _int_rows,
     condition_number,
     is_hessenberg_at_precision,
     norm,
 )
 from padicnla.eigen import (
+    _kernel_of_iterated_power,
+    _residue_cofactor_block,
     berkowitz_charpoly,
     block_schur_form,
     classical_eigen,
@@ -25,9 +28,10 @@ from padicnla.eigen import (
     qp_poly_roots,
     qr_iteration,
 )
-from padicnla.residue import charpoly_residue
+from padicnla.residue import charpoly_residue, linear_roots_with_multiplicity
 
-from helpers import conjugated, flat_residual, random_int_matrix
+from helpers import (conjugated, flat_residual, random_int_matrix,
+                     zealous_kernel_of_iterated_power, zealous_residue_cofactor_block)
 
 
 def residual_val(r):
@@ -404,3 +408,80 @@ class TestProperties:
         for i in range(1, n):
             tr = tr + a[i, i]
         assert (chi[n - 1] + tr).is_zero  # coefficient of x^(n-1) is -trace
+
+
+def entries(m):
+    return [[(e.valuation, e.unit, e.precision) for e in row] for row in m.rows]
+
+
+@st.composite
+def power_inputs(draw):
+    """(B, mult, N): B integral, every entry known to N digits or more,
+    random, nilpotent or divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 5))
+    nprec = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "nilpotent", "divisible"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "nilpotent":
+        m = sympy.Matrix(n, n, lambda i, j: rng.randrange(-9, 10) if j > i else 0)
+        b, _ = conjugated(m, p, nprec + draw(st.integers(0, 3)), rng)
+    else:
+        scale = p if kind == "divisible" else 1
+        b = PadicMatrix(p, [
+            [PadicNumber.from_int(p, scale * rng.randrange(p ** nprec),
+                                  nprec + rng.randrange(4)) for _ in range(n)]
+            for _ in range(n)
+        ])
+    return b, draw(st.integers(1, n + 2)), nprec
+
+
+def _irreducible_companion(p, deg, rng):
+    """Companion matrix of a random monic polynomial of degree 2 or 3 with
+    no root mod p, hence irreducible mod p."""
+    while True:
+        c = [rng.randrange(p) for _ in range(deg)]
+        if all((x ** deg + sum(ci * x ** i for i, ci in enumerate(c))) % p
+               for x in range(p)):
+            return sympy.Matrix(deg, deg, lambda i, j: -c[i] if j == deg - 1
+                                else int(i == j + 1))
+
+
+@st.composite
+def cofactor_inputs(draw):
+    """A conjugated block matrix whose residue characteristic polynomial
+    has an irreducible factor next to 0-3 linear ones (repeats allowed)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nprec = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    comp = _irreducible_companion(p, draw(st.sampled_from([2, 3])), rng)
+    comp += p * sympy.Matrix(comp.rows, comp.rows,
+                             lambda i, j: rng.randrange(-3, 4))
+    k = draw(st.integers(0, 3))
+    split = sympy.Matrix(k, k, lambda i, j: rng.randrange(p) if i == j
+                         else rng.randrange(-3, 4) if j > i else 0)
+    a, _ = conjugated(sympy.diag(comp, split), p, nprec + draw(st.integers(0, 3)), rng)
+    chi = charpoly_residue(a.cap(nprec).to_residue())
+    return a, chi, linear_roots_with_multiplicity(chi), nprec
+
+
+class TestIntegerPowers:
+    """The invariant-subspace step runs its matrix powers on integers mod
+    p^N; the zealous powers of tests/helpers.py are the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(power_inputs())
+    def test_iterated_power_matches_zealous(self, case):
+        b, mult, nprec = case
+        got = _kernel_of_iterated_power(_int_rows(b, nprec), b.prime, mult, nprec)
+        want = zealous_kernel_of_iterated_power(b, mult, nprec)
+        assert entries(got) == entries(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cofactor_inputs())
+    def test_cofactor_block_matches_zealous(self, case):
+        a, chi, roots, nprec = case
+        basis, operator = zealous_residue_cofactor_block(a, chi, roots, nprec)
+        blk = _residue_cofactor_block(a, chi, roots, nprec)
+        assert entries(blk.basis) == entries(basis)
+        assert entries(blk.operator) == entries(operator)
