@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .padics import DomainError, PadicError, PadicNumber
-from .matrices import PadicMatrix, read_matrix, qr, svd
+from .matrices import PadicMatrix, _qr, read_matrix, svd
 from .mpoly import parse_system
 from .eigen import block_schur_form, eigvecs
 from .solver import IllConditionedWarning, SolverError, solve_system
@@ -151,9 +151,9 @@ def _run_solve(config: RunConfig) -> tuple:
             lines.append("no Q_p-rational solutions at this precision")
         text = "\n".join(lines) + "\n"
     else:
-        text = emit_document(doc)
+        text = None
     status = EXIT_OK if ss.points else EXIT_NO_SOLUTIONS
-    return text, status
+    return doc, text, status
 
 
 def _run_eig(config: RunConfig) -> tuple:
@@ -188,8 +188,8 @@ def _run_eig(config: RunConfig) -> tuple:
             lines.append(f"unresolved block of dimension {blk.operator.nrows}")
         text = "\n".join(lines) + "\n"
     else:
-        text = emit_document(doc)
-    return text, EXIT_OK
+        text = None
+    return doc, text, EXIT_OK
 
 
 def _run_schur(config: RunConfig) -> tuple:
@@ -211,14 +211,15 @@ def _run_schur(config: RunConfig) -> tuple:
             f"V =\n{_human_matrix(sd.v)}\n"
         )
     else:
-        text = emit_document(doc)
-    return text, EXIT_OK
+        text = None
+    return doc, text, EXIT_OK
 
 
 def _run_qr(config: RunConfig) -> tuple:
     a = _read_matrix_file(config)
-    f = qr(a)
-    kappa = f.q.norm() * f.qinv.norm()
+    f = _qr(a, with_qinv=False)
+    # Q is unimodular, so |Q^-1| = |Q| (= 1) and kappa(Q) = |Q|^2
+    kappa = f.q.norm() ** 2
     doc = {
         "mode": "qr",
         "prime": a.prime,
@@ -234,8 +235,8 @@ def _run_qr(config: RunConfig) -> tuple:
             f"Q =\n{_human_matrix(f.q)}\nR =\n{_human_matrix(f.r)}\n"
         )
     else:
-        text = emit_document(doc)
-    return text, EXIT_OK
+        text = None
+    return doc, text, EXIT_OK
 
 
 def _run_svd(config: RunConfig) -> tuple:
@@ -259,10 +260,12 @@ def _run_svd(config: RunConfig) -> tuple:
         )
         text = f"rank {s.rank}, Smith valuations: {vals}\n"
     else:
-        text = emit_document(doc)
-    return text, EXIT_OK
+        text = None
+    return doc, text, EXIT_OK
 
 
+# Each mode returns (document, human text or None for --format json,
+# exit status).
 _MODES = {
     "solve": _run_solve,
     "eig": _run_eig,
@@ -276,7 +279,7 @@ def run(config: RunConfig) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IllConditionedWarning)
-            text, status = _MODES[config.mode](config)
+            doc, text, status = _MODES[config.mode](config)
         ill = [w for w in caught if isinstance(w.message, IllConditionedWarning)]
         for w in ill:
             print(f"warning: {w.message}", file=sys.stderr)
@@ -293,10 +296,20 @@ def run(config: RunConfig) -> int:
         return EXIT_USAGE
     if config.output:
         with open(config.output, "w") as fh:
-            fh.write(text)
+            _write(fh, doc, text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, doc, text)
     return status
+
+
+def _write(fh, doc, text):
+    """Write the human text, or stream ``doc`` as the bytes of
+    :func:`emit_document` without holding the whole string."""
+    if text is not None:
+        fh.write(text)
+        return
+    json.dump(doc, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def main(argv=None) -> int:

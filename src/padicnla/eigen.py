@@ -30,6 +30,7 @@ from .matrices import (
     _dot,
     _int_kernel_rows,
     _int_rows,
+    _qr,
     _qr_ints,
     hessenberg,
     normalize_vector,
@@ -630,7 +631,7 @@ def _complement_block(a: PadicMatrix, roots: list, nprec: int) -> InvariantBlock
     for _ in range(rounds):
         b = _int_matmul(b, b, mod)
     # image basis: the columns of Q at the pivots, all of valuation below N
-    _, q, _, pivots, _ = _qr_ints(b, p, work, True, True)
+    _, q, _, pivots, _ = _qr_ints(b, p, work, True, True, with_qinv=False)
     rank = len(pivots)
     if not rank:
         # the complement is not visible at this precision; report the
@@ -808,7 +809,7 @@ def _classical_refine(t_rows, v_rows, block, s, nprec):
     if len(vectors) != m:
         return
     w = PadicMatrix(block.prime, list(zip(*vectors)))
-    f = qr(w)
+    f = _qr(w, with_q=False)
     if len(f.pivots) < m or any(f.r[i, j].valuation != 0 for i, j in f.pivots):
         return
     x = _back_substitute(f.r, f.qinv @ (block @ w))
@@ -906,6 +907,7 @@ def _det_valuation(block: PadicMatrix, nprec: int) -> int:
     missing pivot."""
     p = block.prime
     nflat = block.flat_precision
-    r, _, _, pivots, _ = _qr_ints(_int_rows(block, nflat), p, nflat, False, False)
+    r, _, _, pivots, _ = _qr_ints(_int_rows(block, nflat), p, nflat, False, False,
+                                  with_q=False, with_qinv=False)
     missing = block.nrows - len(pivots)
     return sum(_valuation_int(r[i][j], p) for i, j in pivots) + missing * nprec

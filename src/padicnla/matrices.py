@@ -11,15 +11,19 @@ Entries are zealous :class:`PadicNumber` scalars, except inside the
 elimination of :func:`qr`, which every factorization, nullspace and
 solve runs on: it reads the matrix at its flat precision N as integers
 mod p^N (:func:`_int_rows`), eliminates on residues mod p^W (W >= N)
-while one counter tracks how many digits are still certified, reruns
-with W raised by the shortfall until N digits survive (:func:`_qr_ints`),
-and converts the factors back to scalars at precision N once, at the
-end.  A kernel is read off one column-pivoted elimination of the
-transpose (the rows of Qinv past the rank), so it is certified to the
-precision it was asked for; :func:`_int_kernel_rows` takes the matrix as
-integers, so callers that already hold integers mod p^N (the
-eigensolver's matrix powers) pass them straight in, and only the kernel
-rows become scalars.
+while each row of R and of Qinv, and Q as a whole, counts how many of
+its digits are still certified (:func:`_qr_core`), and converts the
+factors back to scalars at precision N once, at the end.  A
+column-pivoted elimination loses no digit of R and fewer than N of Q
+and Qinv, so it runs once, at W = 2N - 1; a partially pivoted one reruns
+with W raised by the shortfall until N digits survive (:func:`_qr_ints`).
+Only the factors a caller reads are accumulated: kernels and solves
+skip Q, svd skips Qinv.  A kernel is read off one column-pivoted
+elimination of the transpose (the rows of Qinv past the rank), so it is
+certified to the precision it was asked for; :func:`_int_kernel_rows`
+takes the matrix as integers, so callers that already hold integers mod
+p^N (the eigensolver's matrix powers) pass them straight in, and only
+the kernel rows become scalars.
 
 All algorithms assume integral entries; the svd and nullspace wrappers
 factor out p^(min valuation) from matrices with negative-valuation
@@ -250,15 +254,16 @@ class QRFactorization:
     """A = Q @ R (columns permuted by column_permutation when present).
 
     Q is in GL_n(Z_p) and Qinv is its exact-at-precision inverse,
-    accumulated from the elementary row operations.  ``pivots`` lists
-    the (row, column) positions of the pivots of R.  When column
-    pivoting is used, R's column j corresponds to input column
-    ``column_permutation[j]``.
+    accumulated from the elementary row operations; internal callers
+    that do not read one of them get None in its place (see
+    :func:`_qr`).  ``pivots`` lists the (row, column) positions of the
+    pivots of R.  When column pivoting is used, R's column j
+    corresponds to input column ``column_permutation[j]``.
     """
 
     prime: int
-    q: PadicMatrix
-    qinv: PadicMatrix
+    q: PadicMatrix | None
+    qinv: PadicMatrix | None
     r: PadicMatrix
     pivots: list
     column_permutation: list | None = None
@@ -285,23 +290,32 @@ def qr(a: PadicMatrix, column_pivot: bool = False, hermite: bool = True) -> QRFa
 
     The input is read at its flat precision N as integers mod p^N, and
     Q, Qinv and R are returned at precision N.  Divisions by non-unit
-    pivots cost digits (see :func:`_qr_core`), so when the elimination
-    at working precision N loses any, it is rerun on the same integers
-    at a working precision raised by the measured loss, until N digits
-    survive.  Rank decisions always read the digits below N.
+    pivots cost digits, which the elimination counts row by row (see
+    :func:`_qr_core`) and covers with a higher working precision (see
+    :func:`_qr_ints`).  Rank decisions always read the digits below N.
     """
+    return _qr(a, column_pivot, hermite)
+
+
+def _qr(a, column_pivot=False, hermite=True, with_q=True, with_qinv=True):
+    """:func:`qr`, with Q and Qinv computed only when asked for (None
+    otherwise)."""
     if not a.is_integral():
         raise DomainError("qr requires integral entries; rescale by p^(-min val) first")
     p = a.prime
     nflat = a.flat_precision
     r, q, qinv, pivots, colperm = _qr_ints(
-        _int_rows(a, nflat), p, nflat, column_pivot, hermite
+        _int_rows(a, nflat), p, nflat, column_pivot, hermite, with_q, with_qinv
     )
+
+    def convert(rows):
+        return None if rows is None else PadicMatrix.from_int_rows(p, rows, nflat)
+
     return QRFactorization(
         prime=p,
-        q=PadicMatrix.from_int_rows(p, q, nflat),
-        qinv=PadicMatrix.from_int_rows(p, qinv, nflat),
-        r=PadicMatrix.from_int_rows(p, r, nflat),
+        q=convert(q),
+        qinv=convert(qinv),
+        r=convert(r),
         pivots=pivots,
         column_permutation=colperm if column_pivot else None,
     )
@@ -313,63 +327,86 @@ def _int_rows(a: PadicMatrix, precision: int) -> list:
     return [[e.lift_int() % top for e in row] for row in a.rows]
 
 
-def _qr_ints(ints, p, precision, column_pivot, hermite):
+def _qr_ints(ints, p, precision, column_pivot, hermite, with_q=True, with_qinv=True):
     """:func:`qr` on a matrix given as integers mod p^precision.
 
-    Runs :func:`_qr_core` at working precision ``precision`` and, while
-    that loses digits, reruns it on the same integers at a working
-    precision raised by the shortfall, until ``precision`` digits
-    survive.  Returns (r, q, qinv, pivots, column permutation), residues
-    certified mod p^precision.
+    Returns (r, q, qinv, pivots, column permutation), residues certified
+    mod p^precision; q and qinv are None unless asked for.  Under column
+    pivoting R loses no digit and Q and Qinv at most the largest pivot
+    valuation, which is below ``precision`` (see :func:`_qr_core`), so
+    the elimination runs once, at working precision 2 precision - 1 when
+    Q or Qinv is asked for and at ``precision`` otherwise.  Without it
+    the elimination starts at ``precision`` and, while its counts of
+    certified digits fall short, reruns on the same integers at a
+    working precision raised by the shortfall.
     """
     work = precision
+    if column_pivot and (with_q or with_qinv):
+        work += max(precision - 1, 0)
     while True:
         r, q, qinv, pivots, colperm, known = _qr_core(
-            ints, p, work, precision, column_pivot, hermite
+            ints, p, work, precision, column_pivot, hermite, with_q, with_qinv
         )
         if known >= precision:
             return r, q, qinv, pivots, colperm
         work += precision - known
 
 
-def _qr_core(a_ints, p, work, rank_prec, column_pivot, hermite):
+def _qr_core(a_ints, p, work, rank_prec, column_pivot, hermite, with_q, with_qinv):
     """The elimination of :func:`qr` on integers mod p^work.
 
-    R, Q and Qinv hold residues mod p^work, of which the digits below
-    ``known`` are certified.  ``known`` starts at ``work`` and each
-    division by a pivot of valuation v lowers it by v: for the
-    elimination below the pivot and, with ``hermite``, for the unit
-    scaling of the pivot row and for the reduction of the entries above
-    the pivot.  Zero tests and pivot valuations read only the digits
-    below min(known, rank_prec).  Returns (r, q, qinv, pivots, column
-    permutation, known).
+    R, and Q and Qinv when asked for (None otherwise), hold residues mod
+    p^work.  Each row of R and of Qinv has its own count of certified
+    digits and Q has one; all start at ``work``.  Zero tests and pivot
+    valuations in a row of R read only the digits below min(its count,
+    rank_prec).
+
+    A pivot p^v u in a row of R whose entries all have valuation >= w
+    certifies each multiplier it makes (r_k / pivot below it, and with
+    ``hermite`` the unit u and the quotients r_k // p^v above it) to the
+    count of row k, and of the pivot row, minus v.  Subtracting that
+    multiple of the pivot row costs row k of R v - w digits; rows of
+    Qinv and columns of Q are primitive (Q is unimodular), so they keep
+    the multipliers' count.  Under column pivoting every remaining entry
+    of the pivot row has valuation >= v, so w = v and R loses nothing;
+    otherwise w is read from one gcd of the pivot row.  Returns (r, q,
+    qinv, pivots, column permutation, known), ``known`` the least count
+    of the factors computed.
     """
     n, m = len(a_ints), len(a_ints[0])
     mod = p ** max(work, 0)
     r = [list(row) for row in a_ints]
-    q = [[int(i == j) for j in range(n)] for i in range(n)]
-    qinv = [row[:] for row in q]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in eye] if with_q else None
+    qinv = eye if with_qinv else None
+    rk = [work] * n     # certified digits of each row of R
+    qk = [work] * n     # ... of each row of Qinv
+    kq = work           # ... of Q
     colperm = list(range(m))
     pivots = []
-    pivot_vals = []
-    known = work
+    pivot_vals = []     # (v, w) of each pivot
     pr = 0
     pc = 0
     while pr < n and pc < m:
-        # Until a candidate is found, best_v is the zero threshold
-        # min(known, rank_prec); after that, an entry divisible by
-        # p^best_v is no better than the best so far.
-        best_v = max(min(known, rank_prec), 0)
-        bound = p ** best_v
+        # Until a candidate is found, best_v is rank_prec; after that, an
+        # entry divisible by p^best_v is no better than the best so far.
+        # Row i reads at most its own rk[i] digits.
+        best_v = max(rank_prec, 0)
+        pv = p ** best_v
         best = None
         cols = range(pc, m) if column_pivot else (pc,)
-        for i, j in ((i, j) for i in range(pr, n) for j in cols):
-            if r[i][j] % bound:
-                best_v = _valuation_int(r[i][j], p)
-                bound = p ** best_v
-                best = (i, j)
-                if best_v == 0:
-                    break
+        for i in range(pr, n):
+            row = r[i]
+            bound = pv if rk[i] >= best_v else p ** max(rk[i], 0)
+            for j in cols:
+                if row[j] % bound:
+                    best_v = _valuation_int(row[j], p)
+                    pv = bound = p ** best_v
+                    best = (i, j)
+                    if not best_v:
+                        break
+            if not best_v:
+                break
         if best is None:
             if column_pivot:
                 break
@@ -382,35 +419,62 @@ def _qr_core(a_ints, p, work, rank_prec, column_pivot, hermite):
             colperm[bj], colperm[pc] = colperm[pc], colperm[bj]
         if bi != pr:
             r[bi], r[pr] = r[pr], r[bi]
-            qinv[bi], qinv[pr] = qinv[pr], qinv[bi]
-            for row in q:
-                row[bi], row[pr] = row[pr], row[bi]
-        inv = pow(r[pr][pc] // bound, -1, mod)
-        multipliers = [r[k][pc] // bound * inv % mod for k in range(pr + 1, n)]
+            rk[bi], rk[pr] = rk[pr], rk[bi]
+            qk[bi], qk[pr] = qk[pr], qk[bi]
+            if qinv is not None:
+                qinv[bi], qinv[pr] = qinv[pr], qinv[bi]
+            if q is not None:
+                for row in q:
+                    row[bi], row[pr] = row[pr], row[bi]
+        inv = pow(r[pr][pc] // pv, -1, mod)
+        multipliers = [r[k][pc] // pv * inv % mod for k in range(pr + 1, n)]
         for k, c in enumerate(multipliers, start=pr + 1):
             if c:
                 _sub_row_multiple(r, k, pr, c, mod)
-                _sub_row_multiple(qinv, k, pr, c, mod)
-        _combine_columns(q, pr, 1, pr + 1, multipliers, mod)
-        known -= best_v
+                if qinv is not None:
+                    _sub_row_multiple(qinv, k, pr, c, mod)
+        if q is not None:
+            _combine_columns(q, pr, 1, pr + 1, multipliers, mod)
+        w = best_v if column_pivot else _valuation_int(math.gcd(pv, *r[pr]), p)
+        for k in range(pr + 1, n):
+            known_c = min(rk[k], rk[pr]) - best_v
+            qk[k] = min(qk[k], qk[pr], known_c)
+            kq = min(kq, known_c)
+            rk[k] = known_c + w
         pivots.append((pr, pc))
-        pivot_vals.append(best_v)
+        pivot_vals.append((best_v, w))
         pr += 1
         pc += 1
     if hermite:
-        for (i, j), v in zip(pivots, pivot_vals):
+        for (i, j), (v, w) in zip(pivots, pivot_vals):
             pv = p ** v
             unit = r[i][j] // pv
             inv = pow(unit, -1, mod)
             r[i] = [e * inv % mod for e in r[i]]
-            qinv[i] = [e * inv % mod for e in qinv[i]]
+            if qinv is not None:
+                qinv[i] = [e * inv % mod for e in qinv[i]]
             multipliers = [r[i2][j] // pv for i2 in range(i)]
             for i2, c in enumerate(multipliers):
                 if c:
                     _sub_row_multiple(r, i2, i, c, mod)
-                    _sub_row_multiple(qinv, i2, i, c, mod)
-            _combine_columns(q, i, unit, 0, multipliers, mod)
-            known -= 2 * v
+                    if qinv is not None:
+                        _sub_row_multiple(qinv, i2, i, c, mod)
+            if q is not None:
+                _combine_columns(q, i, unit, 0, multipliers, mod)
+            known_u = rk[i] - v
+            qk[i] = min(qk[i], known_u)
+            kq = min(kq, known_u)
+            rk[i] = known_u + w
+            for i2 in range(i):
+                known_c = rk[i2] - v
+                qk[i2] = min(qk[i2], qk[i], known_c)
+                kq = min(kq, known_c)
+                rk[i2] = min(known_c + w, rk[i])
+    known = min(rk)
+    if qinv is not None:
+        known = min(known, min(qk))
+    if q is not None:
+        known = min(known, kq)
     return r, q, qinv, pivots, colperm, known
 
 
@@ -478,7 +542,7 @@ def svd(a: PadicMatrix) -> SVDFactorization:
     p = a.prime
     n, m = a.nrows, a.ncols
     nflat = a.flat_precision
-    f = qr(a, column_pivot=True, hermite=True)
+    f = _qr(a, column_pivot=True, hermite=True, with_qinv=False)
     rank = len(f.pivots)
     one = PadicNumber.one(p, nflat)
     zero = PadicNumber.zero(p, nflat)
@@ -522,7 +586,8 @@ def _int_kernel_rows(ints, p, precision) -> tuple:
     Only the kernel rows of Qinv become :class:`PadicNumber` entries;
     the invariants are the valuations of the integer pivots of R.
     """
-    r, _, qinv, pivots, _ = _qr_ints(list(zip(*ints)), p, precision, True, False)
+    r, _, qinv, pivots, _ = _qr_ints(list(zip(*ints)), p, precision, True, False,
+                                     with_q=False)
     rows = PadicMatrix.from_int_rows(p, qinv[len(pivots):], precision).rows
     return rows, [_valuation_int(r[i][j], p) for i, j in pivots]
 
@@ -550,7 +615,7 @@ def solve(v: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
     basis); pivots of positive valuation cost precision and an
     inconsistent system raises :class:`SingularMatrixError`.
     """
-    f = qr(v)
+    f = _qr(v, with_q=False)
     k = v.ncols
     if len(f.pivots) < k:
         raise SingularMatrixError(
@@ -580,7 +645,7 @@ def inverse(a: PadicMatrix) -> PadicMatrix:
         )
     if nu < 0:
         return inverse(a.shift(-nu)).shift(-nu)
-    f = qr(a)
+    f = _qr(a, with_q=False)
     n = a.nrows
     if len(f.pivots) < n:
         raise SingularMatrixError(

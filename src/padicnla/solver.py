@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .padics import PadicError, PadicNumber
-from .matrices import PadicMatrix, _dot, _kernel_rows, solve, qr
+from .matrices import PadicMatrix, _dot, _kernel_rows, _qr, solve
 from .mpoly import monomials_upto
 from .eigen import eigvecs
 from .residue import poly_gcd
@@ -144,7 +144,7 @@ def select_basis(pi: PadicMatrix, msys: MacaulaySystem):
     delta = pi.nrows
     low_idx = [j for j, e in enumerate(msys.monomials) if sum(e) < msys.degree]
     sub = pi.submatrix(range(delta), low_idx)
-    f = qr(sub, column_pivot=True, hermite=False)
+    f = _qr(sub, column_pivot=True, hermite=False, with_q=False, with_qinv=False)
     if len(f.pivots) < delta:
         raise SolverError(
             f"system is not 0-dimensional at degree {msys.degree}: monomials "

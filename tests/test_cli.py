@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from padicnla.matrices import PadicMatrix, qr, write_matrix
 from padicnla.cli import (
     EXIT_ILL_CONDITIONED,
     EXIT_NO_SOLUTIONS,
@@ -12,6 +14,8 @@ from padicnla.cli import (
     main,
     parse_document,
 )
+
+from helpers import smith_product
 
 
 SQRT2_SYSTEM = "p=7 prec=6 vars=x,y\nx^2 - 2\ny - x\n"
@@ -158,6 +162,26 @@ class TestMatrixModes:
         doc = parse_document(capsys.readouterr().out)
         assert doc["condition_number_q"] == "1"
         assert len(doc["pivots"]) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_qr_condition_number_from_q_alone(self, p, tmp_path, capsys):
+        # the qr mode computes no Qinv; kappa(Q) must still be |Q| |Q^-1|,
+        # here with non-unit pivots and a rank deficiency at precision 6
+        ints = smith_product((0, 1, 3, 9), p, random.Random(p))
+        a = PadicMatrix.from_int_rows(p, ints, 6)
+        path = tmp_path / "a.txt"
+        path.write_text(write_matrix(a))
+        assert main(["--mode", "qr", "--input", str(path), "--format", "json"]) == EXIT_OK
+        doc = parse_document(capsys.readouterr().out)
+        f = qr(a)
+        assert doc["condition_number_q"] == str(f.q.norm() * f.qinv.norm())
+
+    def test_json_output_file_is_the_emitted_document(self, matrix_file, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["--mode", "svd", "--input", matrix_file, "--format", "json",
+                     "--output", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert emit_document(parse_document(text)) == text
 
     def test_svd_reports_sigma(self, matrix_file, capsys):
         main(["--mode", "svd", "--input", matrix_file, "--format", "json"])

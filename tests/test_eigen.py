@@ -399,6 +399,14 @@ class TestProperties:
         # is demanded here
         check_pairs(a, eigvecs(a), floor=0)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4 (c): _pure_power_eigvecs returns a spurious third "
+        "pair -2 + O(3^6) whose residual has valuation 0"))
+    def test_jordan_block_residuals_vanish(self):
+        # charpoly (x - 1)(x + 2)^2 with a Jordan block at -2; residue (x - 1)^3
+        a = PadicMatrix.from_int_rows(3, [[-1, 0, -2], [1, -1, -1], [-1, -1, -1]], 6)
+        check_pairs(a, eigvecs(a), floor=0)
+
     @settings(max_examples=30, deadline=None)
     @given(small_matrices())
     def test_charpoly_trace_and_det(self, a):

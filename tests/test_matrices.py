@@ -7,10 +7,15 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import example, given, settings, strategies as st
 
+from padicnla import matrices
 from padicnla.padics import DomainError, PadicNumber
 from padicnla.matrices import (
     PadicMatrix,
     SingularMatrixError,
+    _int_rows,
+    _kernel_rows,
+    _qr_core,
+    _qr_ints,
     condition_number,
     hessenberg,
     householder,
@@ -27,6 +32,9 @@ from padicnla.matrices import (
 
 from helpers import (flat_residual, rand_unimodular, random_int_matrix,
                      reference_qr, smith_product)
+
+# the Smith exponents of the benchmark's factor workload
+FACTOR_EXPONENTS = (1, 1, 2, 2, 3, 5, 9, 12)
 
 
 def residual_flat(a, b):
@@ -79,6 +87,33 @@ class TestQR:
         r = sympy.Matrix([[e.lift_int() for e in row] for row in f.r.rows])
         diff = q * r - sympy.Matrix(ints)
         assert all(x % p ** nprec == 0 for x in diff)
+
+    def test_column_pivoted_calls_run_the_elimination_once(self, monkeypatch):
+        # Column pivoting costs R no digit and Q, Qinv at most the largest
+        # pivot valuation (< N), so one run at W = 2N - 1 is certified,
+        # here with pivots of valuation up to 5 at N = 8.
+        p, nprec = 3, 8
+        exponents = (0,) * 8 + FACTOR_EXPONENTS
+        a = PadicMatrix.from_int_rows(
+            p, smith_product(exponents, p, random.Random(5)), nprec)
+        works = []
+
+        def counted(ints, p_, work, *args):
+            works.append(work)
+            return _qr_core(ints, p_, work, *args)
+
+        monkeypatch.setattr(matrices, "_qr_core", counted)
+        f = qr(a, column_pivot=True)
+        assert works == [2 * nprec - 1]
+        assert max(f.r[i, j].valuation for i, j in f.pivots) == 5
+        for call in (lambda: svd(a), lambda: _kernel_rows(a, nprec)):
+            works.clear()
+            call()
+            assert works == [2 * nprec - 1]
+        # without column pivoting the same input needs a rerun
+        works.clear()
+        qr(a)
+        assert len(works) > 1
 
     def test_singular_rows_sort_to_bottom(self):
         p, nprec = 7, 8
@@ -395,6 +430,11 @@ class TestProperties:
     @example(PadicMatrix.from_int_rows(2, [[3, 3, 2, 1, 0], [1, 3, 3, 1, 1],
                                           [3, 3, 0, 1, 2], [0, 2, 1, 2, 1],
                                           [2, 0, 3, 0, 3]], 2), False, True)
+    # non-unit pivots of valuation up to 5 at p = 2, and two invariants >= N
+    @example(PadicMatrix.from_int_rows(
+        2, smith_product(FACTOR_EXPONENTS, 2, random.Random(2)), 8), False, True)
+    @example(PadicMatrix.from_int_rows(
+        2, smith_product(FACTOR_EXPONENTS, 2, random.Random(2)), 8), True, True)
     def test_qr_matches_zealous_reference(self, a, column_pivot, hermite):
         f = qr(a, column_pivot=column_pivot, hermite=hermite)
         ref = reference_qr(a, column_pivot=column_pivot, hermite=hermite)
@@ -405,6 +445,25 @@ class TestProperties:
                 for x, y in zip(row_got, row_want):
                     assert x.precision >= y.precision
                     assert (x - y).is_zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(qr_inputs(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+    def test_certified_run_matches_run_at_4N(self, a, column_pivot, hermite,
+                                             with_q, with_qinv):
+        # The per-row counts certify the run that _qr_ints returns: a run
+        # at W = 4N agrees with it mod p^N on every factor it computes.
+        p, nprec = a.prime, a.flat_precision
+        ints = _int_rows(a, nprec)
+        got = _qr_ints(ints, p, nprec, column_pivot, hermite, with_q, with_qinv)
+        ref = _qr_core(ints, p, 4 * nprec, nprec, column_pivot, hermite,
+                       with_q, with_qinv)
+        assert got[3:] == ref[3:5]
+        mod = p ** nprec
+        for x, y, wanted in zip(got[:3], ref[:3], (True, with_q, with_qinv)):
+            assert (x is not None) == (y is not None) == wanted
+            if wanted:
+                assert [[e % mod for e in row] for row in x] == \
+                    [[e % mod for e in row] for row in y]
 
     @settings(max_examples=40, deadline=None)
     @given(integral_matrices())
